@@ -125,14 +125,14 @@ func warmedConfigLocked(n int) warmedMultiset {
 // (e.g. -benchtime=20000000x) for stable numbers; -short skips every
 // population size above 10⁶ (the 10⁸⁺ rows warm for minutes, see
 // warmedConfig).
-// Sub-benchmark rows carry a parallelism dimension on the multiset
-// backends: the bare row (no /par segment) is the default configuration
-// (legacy serial samplers below pop's auto threshold of ~1.7·10⁷ agents,
-// the splitter path with a GOMAXPROCS worker target above), /par=1 is the
+// Sub-benchmark rows carry a parallelism dimension on the dense backend:
+// the bare row (no /par segment) is the default configuration (legacy
+// serial samplers below pop's auto threshold of ~1.7·10⁷ agents, the
+// splitter path with a GOMAXPROCS worker target above), /par=1 is the
 // node-seeded splitter path executed serially, and /par=8 the same path
 // with an 8-worker target — byte-identical trajectories by construction,
 // so their ns/interaction ratio is pure execution speedup. The sequential
-// backend ignores parallelism and benches only bare.
+// and batched backends ignore parallelism and bench only bare.
 func BenchmarkEngineInteractions(b *testing.B) {
 	p := core.MustNew(core.FastConfig())
 	all := []pop.Backend{pop.Sequential, pop.Batched, pop.Dense}
@@ -150,9 +150,9 @@ func BenchmarkEngineInteractions(b *testing.B) {
 			continue
 		}
 		for _, backend := range row.backends {
-			pars := []int{0, 1, 8}
-			if backend == pop.Sequential {
-				pars = []int{0}
+			pars := []int{0}
+			if backend == pop.Dense {
+				pars = []int{0, 1, 8}
 			}
 			for _, par := range pars {
 				name := fmt.Sprintf("%v/n=%d", backend, row.n)

@@ -69,13 +69,14 @@ func TestRunSmoke(t *testing.T) {
 }
 
 // TestRunParDeterminism: the -par flag must not change the rendered
-// figure for a fixed seed (worker-count invariance at the CLI level).
+// figure for a fixed seed (worker-count invariance at the CLI level, on
+// the dense backend — the one engine -par reaches).
 func TestRunParDeterminism(t *testing.T) {
 	outs := map[string]string{}
 	for _, par := range []string{"1", "4"} {
 		var buf bytes.Buffer
 		err := run([]string{"-ns", "64,128", "-trials", "1", "-seed", "5",
-			"-backend", "batch", "-par", par, "-out", ""}, &buf)
+			"-backend", "dense", "-par", par, "-out", ""}, &buf)
 		if err != nil {
 			t.Fatalf("-par %s run failed: %v\n%s", par, err, buf.String())
 		}

@@ -84,13 +84,13 @@ func TestRunWeakProtocolBackendsAndJSONL(t *testing.T) {
 
 // TestRunParDeterminism is the CLI-level worker-count invariance check:
 // -par 1 and -par 3 must print byte-identical per-trial results for the
-// same seed on a multiset backend.
+// same seed on the dense backend (the one engine -par reaches).
 func TestRunParDeterminism(t *testing.T) {
 	outs := map[string]string{}
 	for _, par := range []string{"1", "3"} {
 		var buf bytes.Buffer
 		err := run([]string{"-protocol", "main", "-n", "400", "-trials", "2", "-seed", "11",
-			"-backend", "batch", "-par", par}, &buf)
+			"-backend", "dense", "-par", par}, &buf)
 		if err != nil {
 			t.Fatalf("-par %s run failed: %v\n%s", par, err, buf.String())
 		}

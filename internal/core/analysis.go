@@ -155,10 +155,10 @@ type RunOptions struct {
 	// Backend selects the simulation engine (default pop.Auto: batched
 	// for large populations, sequential otherwise).
 	Backend pop.Backend
-	// Parallelism is the intra-trial worker target for the multiset
-	// backends (pop.WithParallelism): 0 = auto, >= 1 forces the
-	// deterministic divide-and-conquer sampling path, whose trajectory is
-	// identical for every worker count.
+	// Parallelism is the dense backend's intra-trial worker target
+	// (pop.WithParallelism): 0 = auto, >= 1 forces the deterministic
+	// divide-and-conquer sampling path, whose trajectory is identical for
+	// every worker count. The other backends ignore it.
 	Parallelism int
 	// MaxTime bounds the run in parallel time; 0 selects a generous
 	// default that scales as log² n.

@@ -420,20 +420,22 @@ func (m *Manager) Cancel(ctx context.Context, id string) (*Job, error) {
 
 // Close stops every running job (their manifests stay pending, so a new
 // Manager on the same directory resumes them) and waits for the runners
-// to exit.
+// to exit. It waits on every started runner, terminal jobs included: a
+// runner announces its terminal state before persisting it, so a job can
+// read done while its manifest write is still in flight.
 func (m *Manager) Close() {
 	m.stopAll()
 	m.mu.Lock()
-	var running []*Job
+	var started []*Job
 	for _, j := range m.jobs {
 		j.mu.Lock()
-		if j.cancel != nil && !j.state.Terminal() {
-			running = append(running, j)
+		if j.cancel != nil {
+			started = append(started, j)
 		}
 		j.mu.Unlock()
 	}
 	m.mu.Unlock()
-	for _, j := range running {
+	for _, j := range started {
 		<-j.done
 	}
 }

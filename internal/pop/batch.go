@@ -65,7 +65,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync"
 )
 
 // countingSource wraps a rand.Source and counts the words drawn through
@@ -164,7 +163,6 @@ type BatchSim[S comparable] struct {
 	distinct int
 
 	qMax int // live-state fallback threshold
-	par  int // 0 = legacy serial samplers; >= 1 = node-seeded splitter path with this worker target
 
 	// Direct-mapped transition cache. A slot holds the generation-stamped
 	// id pair and its packed deterministic outputs; compaction remaps ids,
@@ -184,13 +182,6 @@ type BatchSim[S comparable] struct {
 
 	tree  fenwick
 	slots []int32 // batch scratch: pre states, then post states
-
-	// Splitter-path scratch (par >= 1): participant composition, prefix
-	// sums, and the batch's post multiset (the split path never rewrites
-	// slots in place — outputs accumulate as counts, as in DenseSim).
-	comp []int64
-	cum  []int64
-	post []int64
 
 	// test hooks (nil/false in production)
 	forceNoSeq  bool
@@ -240,7 +231,6 @@ func NewBatch[S comparable](n int, initial func(i int, r *rand.Rand) S, rule Rul
 	}
 	b := newBatchShell[S](rule, o)
 	b.n = n
-	b.par = resolveParallelism(o.parallelism, n)
 	for i := 0; i < n; i++ {
 		b.addCount(b.intern(initial(i, b.rng)), 1)
 	}
@@ -275,7 +265,6 @@ func NewBatchFromCounts[S comparable](states []S, counts []int64, rule Rule[S], 
 		}
 	}
 	b.n = n
-	b.par = resolveParallelism(o.parallelism, n)
 	b.compact()
 	return b
 }
@@ -369,9 +358,6 @@ func (b *BatchSim[S]) RemoveAgents(k int) {
 			b.agents[j] = b.agents[n-1]
 			b.agents = b.agents[:n-1]
 		}
-	} else if b.par >= 1 {
-		b.comp, b.cum = removeCountsSplit(effectiveWorkers(b.par), b.rng.Uint64(),
-			b.counts, b.total, int64(k), b.addCount, b.comp, b.cum)
 	} else {
 		removeCountsChain(b.rng, &b.tree, b.counts, b.total, int64(k), b.addCount)
 	}
@@ -524,9 +510,6 @@ func (b *BatchSim[S]) Run(k int64) {
 // interaction, if one was sampled) of at most kmax interactions, and
 // returns how many interactions it executed.
 func (b *BatchSim[S]) runBatch(kmax int64) int64 {
-	if b.par >= 1 {
-		return b.runBatchSplit(kmax)
-	}
 	n := int64(b.n)
 	// Sample the collision-free run length ℓ (see collisionFreeRun): a
 	// cap from kmax, scratch limits or population size just ends the
@@ -579,268 +562,6 @@ func (b *BatchSim[S]) runBatch(kmax int64) int64 {
 		b.batchEvents(int(ell), collided)
 	}
 	return done
-}
-
-// runBatchSplit is runBatch on the node-seeded splitter path (par >= 1):
-// the same collision-free batch law, with every draw below the batch's
-// one seed word derived from (seed, node path) so the trajectory is
-// byte-identical for any worker count. The batch proceeds in phases —
-// participant composition (mvhSplitComp), uniform arrangement
-// (multisetSeqSplit), a read-only cache-hit pair pass over independent
-// chunks, a serial pass over the cache misses (rule calls consume the
-// shared rule stream in slot order), collision resolution over the post
-// multiset, and an O(q) commit. Only the composition, arrangement and
-// cache-hit phases fan out; everything touching the engine's own rng or
-// the rule stream stays serial and ordered.
-func (b *BatchSim[S]) runBatchSplit(kmax int64) int64 {
-	n := int64(b.n)
-	maxPairs := min(int64(maxBatchPairs), kmax, n/3+1)
-	ell, collided := collisionFreeRun(b.rng, n, maxPairs)
-	if ell == 0 {
-		// Only possible when a cap degenerated; fall back to one exact step.
-		b.Step()
-		return 1
-	}
-	m := 2 * ell
-	batchSeed := b.rng.Uint64()
-	workers := effectiveWorkers(b.par)
-	fanOut := workers > 1 && m >= 2*parMinForkItems
-
-	if cap(b.slots) < int(m)+2 {
-		b.slots = make([]int32, m+2)
-	}
-	slots := b.slots[:m]
-	q := len(b.counts)
-	if m >= int64(stateSampleFactor*b.live) {
-		// Long batch: draw the participants' composition, debit it, then
-		// realize a uniformly random arrangement (the pairing).
-		b.comp = resizeZero(b.comp, q)
-		b.cum = prefixSums(b.cum, b.counts)
-		var g *parGroup
-		if fanOut {
-			g = newParGroup(workers)
-		}
-		mvhSplitComp(g, deriveSeed(batchSeed, 1), 1, b.counts, b.cum, 0, q, b.total, m, b.comp)
-		g.wait()
-		for id, k := range b.comp {
-			if k > 0 {
-				b.addCount(int32(id), -k)
-			}
-		}
-		if fanOut {
-			g = newParGroup(workers)
-		}
-		multisetSeqSplit(g, deriveSeed(batchSeed, 2), 1, b.comp, slots, nil)
-		g.wait()
-	} else {
-		// Short batch relative to the live-state count: per-slot Fenwick
-		// draws chain through one node stream (no fan-out — each draw
-		// conditions on the previous ones).
-		r := nodeRand(deriveSeed(batchSeed, 1), 1)
-		b.tree.reset(b.counts)
-		rem := b.total
-		for i := range slots {
-			id := int32(b.tree.findAndDec(r.Int64N(rem)))
-			rem--
-			b.addCount(id, -1)
-			slots[i] = id
-		}
-	}
-
-	// Cache-hit pair pass: chunks are independent and read-only on engine
-	// state (concurrent cache and table reads are safe — nothing writes
-	// until the serial miss pass). The declared-table bypass resolves
-	// pairs whose outputs are already interned (probeRO); remaining
-	// pairs consult the cache. Hits accumulate into per-chunk post
-	// vectors; misses defer.
-	b.post = resizeZero(b.post, len(b.states))
-	nChunks := int((m + pairChunkSlots - 1) / pairChunkSlots)
-	missByChunk := make([][]int64, nChunks)
-	var hits, tblHits int64
-	lookup := func(ida, idb int32) (int32, int32, bool, bool) {
-		if t := b.tbl; t != nil {
-			if oa, ob, ok := t.probeRO(ida, idb); ok {
-				return oa, ob, true, true
-			}
-		}
-		oa, ob, ok := b.cacheLookup(ida, idb)
-		return oa, ob, ok, false
-	}
-	if fanOut && nChunks > 1 {
-		var mu sync.Mutex
-		g := newParGroup(workers)
-		for ci := 0; ci < nChunks; ci++ {
-			lo := int64(ci) * pairChunkSlots
-			hi := min(lo+pairChunkSlots, m)
-			chunk := ci
-			g.fork(func() {
-				localPost := make([]int64, len(b.post))
-				var localMiss []int64
-				var localHits, localTblHits int64
-				for i := lo; i < hi; i += 2 {
-					if oa, ob, ok, fromTable := lookup(slots[i], slots[i+1]); ok {
-						localPost[oa]++
-						localPost[ob]++
-						if fromTable {
-							localTblHits++
-						} else {
-							localHits++
-						}
-					} else {
-						localMiss = append(localMiss, i)
-					}
-				}
-				missByChunk[chunk] = localMiss // distinct index per chunk
-				mu.Lock()
-				for id, c := range localPost {
-					if c > 0 {
-						b.post[id] += c
-					}
-				}
-				hits += localHits
-				tblHits += localTblHits
-				mu.Unlock()
-			})
-		}
-		g.wait()
-	} else {
-		var localMiss []int64
-		for i := int64(0); i < m; i += 2 {
-			if oa, ob, ok, fromTable := lookup(slots[i], slots[i+1]); ok {
-				b.post[oa]++
-				b.post[ob]++
-				if fromTable {
-					tblHits++
-				} else {
-					hits++
-				}
-			} else {
-				localMiss = append(localMiss, i)
-			}
-		}
-		missByChunk[0] = localMiss
-	}
-	b.stats.CacheHits += hits
-	b.stats.TableHits += tblHits
-
-	// Serial miss pass, in slot order: rule calls (and their randomness)
-	// happen here and only here, so the rule stream's consumption order
-	// is a pure function of the trajectory.
-	for _, chunk := range missByChunk {
-		for _, i := range chunk {
-			oa, ob := b.applyPair(slots[i], slots[i+1])
-			b.addPost(oa, 1)
-			b.addPost(ob, 1)
-		}
-	}
-
-	done := ell
-	if collided {
-		b.collisionStepPost(m)
-		done++
-	}
-
-	// Commit participants' post states.
-	for id, c := range b.post {
-		if c > 0 {
-			b.addCount(int32(id), c)
-		}
-	}
-	b.interacts += done
-	b.stats.Batches++
-	b.stats.BatchedInteractions += done
-	if b.total != n {
-		panic(fmt.Sprintf("pop: BatchSim conservation violated: %d agents after batch, want %d", b.total, n))
-	}
-	if b.batchEvents != nil {
-		b.batchEvents(int(ell), collided)
-	}
-	return done
-}
-
-// cacheLookup is the read-only half of applyPair: it reports the cached
-// deterministic outputs of the ordered pair, if present. Safe for
-// concurrent use while no writer runs (the split path's parallel phase).
-func (b *BatchSim[S]) cacheLookup(ida, idb int32) (oa, ob int32, ok bool) {
-	return cacheProbe(b.cache, cacheBits, b.cacheGen, ida, idb)
-}
-
-// cacheProbe is the read-only transition-cache lookup shared by both
-// multiset engines (their tables differ only in size): it reports the
-// cached deterministic outputs of the ordered id pair under the given
-// generation. Safe for concurrent use while no writer runs.
-func cacheProbe(cache []cacheSlot, bits uint, gen uint64, ida, idb int32) (oa, ob int32, ok bool) {
-	if ida >= cacheMaxID || idb >= cacheMaxID {
-		return 0, 0, false
-	}
-	key := gen<<44 | uint64(ida)<<22 | uint64(idb)
-	s := cache[(key*0x9e3779b97f4a7c15)>>(64-bits)]
-	if s.key != key {
-		return 0, 0, false
-	}
-	return int32(s.out >> 32), int32(s.out & math.MaxUint32), true
-}
-
-// addPost adds c to the split path's post multiset, growing it when a
-// rule output interned a new state mid-batch.
-func (b *BatchSim[S]) addPost(id int32, c int64) {
-	b.post = growPost(b.post, id, c)
-}
-
-// growPost adds c to post[id], growing the slice when a rule output
-// interned a new state mid-batch; shared by both multiset engines.
-func growPost(post []int64, id int32, c int64) []int64 {
-	for int(id) >= len(post) {
-		post = append(post, 0)
-	}
-	post[id] += c
-	return post
-}
-
-// collisionStepPost resolves the interaction that ends a split-path
-// batch. It is collisionStep with the slot array replaced by the post
-// multiset (a uniform pick among the batch's participants is a
-// post-count-weighted pick among states, as in DenseSim).
-func (b *BatchSim[S]) collisionStepPost(m int64) {
-	n := int64(b.n)
-	o := n - m
-	postLeft := m
-	pickPost := func() int32 {
-		u := b.rng.Int64N(postLeft)
-		for id, c := range b.post {
-			if u < c {
-				b.post[id]--
-				postLeft--
-				return int32(id)
-			}
-			u -= c
-		}
-		panic("pop: BatchSim collision draw out of range")
-	}
-	drawOut := func() int32 {
-		id := b.drawLinear(b.rng.Int64N(o))
-		b.addCount(id, -1)
-		return id
-	}
-	// Ordered distinct pairs with >=1 participant, by membership pattern.
-	bothIn := m * (m - 1)
-	recIn := m * o
-	r := b.rng.Int64N(bothIn + 2*recIn)
-	var ra, rb int32
-	switch {
-	case r < bothIn:
-		ra = pickPost()
-		rb = pickPost()
-	case r < bothIn+recIn:
-		ra = pickPost()
-		rb = drawOut()
-	default:
-		rb = pickPost()
-		ra = drawOut()
-	}
-	oa, ob := b.applyPair(ra, rb)
-	b.addPost(oa, 1)
-	b.addPost(ob, 1)
 }
 
 // sampleSlotsByState fills slots with a uniform without-replacement sample

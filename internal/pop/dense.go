@@ -156,7 +156,6 @@ type DenseSim[S comparable] struct {
 	qMaxOverride   int // WithDenseThreshold value (0 = rescale qMax with n on churn)
 	batchThreshold int // forwarded to the delegated BatchSim (0 = default)
 	par            int // 0 = legacy serial samplers; >= 1 = node-seeded splitter path with this worker target
-	parOption      int // raw WithParallelism value, forwarded to the delegated BatchSim
 
 	cache    []cacheSlot
 	cacheGen uint64
@@ -258,7 +257,6 @@ func newDenseShell[S comparable](rule Rule[S], o options) *DenseSim[S] {
 		tbl:            tbl,
 		qMaxOverride:   o.denseThreshold,
 		batchThreshold: o.batchThreshold,
-		parOption:      o.parallelism,
 	}
 	d.cache = make([]cacheSlot, 1<<denseCacheBits)
 	d.cacheGen = 1
@@ -539,7 +537,7 @@ func (d *DenseSim[S]) delegate() {
 	if d.forceNoDelegate {
 		panic("pop: DenseSim delegated to BatchSim with forceNoDelegate set")
 	}
-	opts := []Option{WithSeed(d.rng.Uint64()), WithParallelism(d.parOption)}
+	opts := []Option{WithSeed(d.rng.Uint64())}
 	if d.batchThreshold > 0 {
 		opts = append(opts, WithBatchThreshold(d.batchThreshold))
 	}
@@ -975,11 +973,26 @@ func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.
 }
 
 // cacheLookup is the read-only half of applyCell: it reports the cached
-// deterministic outputs of the ordered pair, if present (cacheProbe in
-// batch.go). Safe for concurrent use while no writer runs (the split
-// path's parallel pass).
+// deterministic outputs of the ordered pair, if present. Safe for
+// concurrent use while no writer runs (the split path's parallel pass).
 func (d *DenseSim[S]) cacheLookup(ida, idb int32) (oa, ob int32, ok bool) {
 	return cacheProbe(d.cache, denseCacheBits, d.cacheGen, ida, idb)
+}
+
+// cacheProbe is the read-only transition-cache lookup: it reports the
+// cached deterministic outputs of the ordered id pair under the given
+// generation, with BatchSim's key layout (see cacheSlot). Safe for
+// concurrent use while no writer runs.
+func cacheProbe(cache []cacheSlot, bits uint, gen uint64, ida, idb int32) (oa, ob int32, ok bool) {
+	if ida >= cacheMaxID || idb >= cacheMaxID {
+		return 0, 0, false
+	}
+	key := gen<<44 | uint64(ida)<<22 | uint64(idb)
+	s := cache[(key*0x9e3779b97f4a7c15)>>(64-bits)]
+	if s.key != key {
+		return 0, 0, false
+	}
+	return int32(s.out >> 32), int32(s.out & math.MaxUint32), true
 }
 
 // sampleParticipants draws a uniform without-replacement sample of m
@@ -1152,9 +1165,14 @@ func (d *DenseSim[S]) applyCell(ida, idb int32, mult int64) {
 }
 
 // addPost adds c to the post multiset, growing it when a rule output
-// interned a new state mid-batch (growPost in batch.go).
+// interned a new state mid-batch.
 func (d *DenseSim[S]) addPost(id int32, c int64) {
-	d.post = growPost(d.post, id, c)
+	post := d.post
+	for int(id) >= len(post) {
+		post = append(post, 0)
+	}
+	post[id] += c
+	d.post = post
 }
 
 // collisionStep resolves the interaction that ended a batch — an ordered

@@ -27,10 +27,12 @@ import (
 
 // equivBackends are the engines under comparison: the sequential engine
 // is the reference, every other backend's metric distribution must match
-// it. Seed offsets keep the backends' trial streams disjoint. The par
-// variants run the node-seeded splitter sampling path (pop.
+// it. Seed offsets keep the backends' trial streams disjoint. The dense
+// par variant runs the node-seeded splitter sampling path (pop.
 // WithParallelism), whose draws differ from the legacy chains' and so
-// need their own distributional check against the reference.
+// need their own distributional check against the reference. BatchSim
+// ignores par, so its par entry is a second serial-path sample on a
+// disjoint seed stream.
 var equivBackends = []struct {
 	backend pop.Backend
 	par     int

@@ -59,7 +59,7 @@ func WithBackend(b Backend) Option {
 	return func(o *options) { o.backend = b }
 }
 
-// WithParallelism sets the multiset engines' intra-trial worker target.
+// WithParallelism sets the dense engine's intra-trial worker target.
 // p = 0 (the default) is automatic: populations of at least parAutoMinN
 // agents use the node-seeded divide-and-conquer sampling path with a
 // GOMAXPROCS worker target, smaller ones keep the legacy serial samplers.
@@ -68,8 +68,9 @@ func WithBackend(b Backend) Option {
 // seed — worker count changes only the execution schedule, never a random
 // draw (see parallel.go) — and the effective worker count is additionally
 // capped so RunTrials-level and intra-trial parallelism never
-// oversubscribe GOMAXPROCS. The sequential engine ignores the option.
-// Negative values are treated as 0.
+// oversubscribe GOMAXPROCS. The batched and sequential engines ignore the
+// option (the batched engine always samples serially, including while a
+// dense engine delegates to it). Negative values are treated as 0.
 func WithParallelism(p int) Option {
 	return func(o *options) { o.parallelism = max(p, 0) }
 }

@@ -4,14 +4,19 @@
 // # Why a splitter
 //
 // RunTrials parallelism helps sweeps, but a single n = 10⁸–10⁹ trial
-// still advances on one core. The batched engines' hot work — drawing a
-// multivariate hypergeometric composition, arranging a sampled multiset
-// into slots, distributing a sender block over receiver rows — all
+// still advances on one core. DenseSim's hot work — drawing the
+// receiver and sender compositions as multivariate hypergeometric
+// samples, distributing the sender block over receiver rows — all
 // factorizes recursively: a draw of m items from a class range splits
 // into left/right halves with one univariate hypergeometric per node
 // (the left half's share is Hyp(total, leftTotal, m)), after which the
 // two subtrees are conditionally independent and can run on different
 // cores.
+//
+// The splitter is DenseSim's alone. BatchSim always runs its serial
+// samplers and ignores WithParallelism: at the paper's own workload
+// (Log-Size-Estimation at n = 10⁴) a batch splitter ran ~30% slower per
+// interaction than the serial path, and it bought no speed at larger n.
 //
 // # Node-path seeding
 //
@@ -44,14 +49,14 @@ import (
 )
 
 // parAutoMinN is the population size above which auto parallelism
-// (WithParallelism(0), the default) switches the multiset engines to the
+// (WithParallelism(0), the default) switches DenseSim to the
 // divide-and-conquer sampling path with a GOMAXPROCS worker target.
 // Below it batches are short enough that the legacy serial samplers win;
 // the cutoff depends only on n, so auto-resolved runs are reproducible
 // across machines with different core counts.
 const parAutoMinN = 1 << 24
 
-// resolveParallelism turns the WithParallelism option into the engine's
+// resolveParallelism turns the WithParallelism option into DenseSim's
 // sampling mode: 0 keeps the legacy serial samplers, p >= 1 selects the
 // node-seeded splitter path with a worker target of p. The resolution is
 // fixed at construction (churn does not re-resolve it), so a trajectory's
@@ -145,8 +150,8 @@ func (g *parGroup) wait() {
 }
 
 // deriveSeed gives each draw within a batch its own seed domain, so the
-// receiver, sender, arrangement and pairing trees of one batch never
-// share a node stream.
+// receiver, sender and pairing trees of one batch never share a node
+// stream.
 func deriveSeed(seed, domain uint64) uint64 {
 	return splitmix64(seed ^ domain*0x9e3779b97f4a7c15)
 }
@@ -162,11 +167,11 @@ func nodeRand(seed, path uint64) *rand.Rand {
 
 // Granularity knobs of the splitter path. They are vars so the tests can
 // shrink them and exercise deep recursion and real fan-out at test-scale
-// populations; production never mutates them. parMinForkItems and
-// pairChunkSlots only schedule work — any value yields the identical
-// trajectory — while mvhLeafClasses and seqLeafSlots decide where node
-// streams are consumed, so they must be held fixed across runs being
-// compared for byte-identity.
+// populations; production never mutates them. parMinForkItems only
+// schedules work — any value yields the identical trajectory — while
+// mvhLeafClasses and splitLeafMass decide where node streams are
+// consumed, so they must be held fixed across runs being compared for
+// byte-identity.
 var (
 	// mvhLeafClasses: composition-splitter nodes covering at most this
 	// many classes draw their chain sequentially with the node's stream
@@ -176,10 +181,6 @@ var (
 	// its sample is at least this large; smaller subtrees run inline
 	// (goroutine handoff would cost more than the draw).
 	parMinForkItems int64 = 1 << 11
-	// seqLeafSlots: arrangement-splitter leaves of at most this many
-	// slots are written and shuffled in place. Even, so batch pairs
-	// (2i, 2i+1) never straddle a leaf boundary.
-	seqLeafSlots int64 = 1 << 12
 	// splitLeafMass: the dense row splitter stops bisecting once a node's
 	// receiver mass is at most this and runs the legacy-style sequential
 	// multi-row chain under the node's stream. Bisection redistributes
@@ -188,9 +189,6 @@ var (
 	// knobs this one decides where node streams are consumed and must be
 	// held fixed across runs compared for byte-identity.
 	splitLeafMass int64 = 1 << 11
-	// pairChunkSlots: the batched engine's cache-hit pair pass works in
-	// independent slot chunks of this size (even, pair-aligned).
-	pairChunkSlots int64 = 1 << 12
 )
 
 // fenwickPool recycles the node-local Fenwick trees behind chainTail:
@@ -198,11 +196,11 @@ var (
 // scratch tree the way the legacy serial chains do.
 var fenwickPool = sync.Pool{New: func() any { return new(fenwick) }}
 
-// int64Pool recycles the splitter nodes' per-node count vectors — left-
-// half compositions, sender shares, leaf-local post multisets. Nodes run
-// concurrently, so they cannot share an engine-owned scratch slice the
-// way the legacy serial chains do, and allocating one per node made the
-// allocator a measurable per-batch cost of the dense pairing path.
+// int64Pool recycles the splitter nodes' per-node count vectors — sender
+// shares and leaf-local post multisets. Nodes run concurrently, so they
+// cannot share an engine-owned scratch slice the way the legacy serial
+// chains do, and allocating one per node made the allocator a measurable
+// per-batch cost of the dense pairing path.
 // getInts returns a zeroed length-n slice along with its pool pointer;
 // the pointer must go back via int64Pool.Put exactly once, after the
 // slice's last use — the splitter nodes hand ownership down to whichever
@@ -322,87 +320,6 @@ func mvhSplitComp(g *parGroup, seed, path uint64, counts, cum []int64, lo, hi in
 	}
 }
 
-// multisetSeqSplit writes a uniformly random arrangement of the multiset
-// comp (class id i appearing comp[i] times, Σ comp = len(out)) into out:
-// the left half of the positions receives a multivariate hypergeometric
-// share of the multiset (drawn with the node's stream), halves recurse
-// independently, and leaves of at most seqLeafSlots positions are written
-// as runs and Fisher–Yates shuffled in place. Splitting a uniform
-// arrangement at any fixed position yields exactly this law, so the
-// result is distributed identically to sampling slots one by one without
-// replacement. comp is consumed. Halves are kept even so consecutive
-// pair boundaries never straddle subtrees. owned, when non-nil, is
-// comp's int64Pool pointer: this invocation's subtree is the buffer's
-// last reader and returns it to the pool on the way out (the root comp
-// is engine-owned and passes nil).
-func multisetSeqSplit(g *parGroup, seed, path uint64, comp []int64, out []int32, owned *[]int64) {
-	for {
-		m := int64(len(out))
-		if m <= seqLeafSlots {
-			r := nodeRand(seed, path)
-			w := 0
-			for id, c := range comp {
-				for ; c > 0; c-- {
-					out[w] = int32(id)
-					w++
-				}
-			}
-			if int64(w) != m {
-				panic("pop: arrangement splitter multiset/slot mismatch")
-			}
-			for i := len(out) - 1; i > 0; i-- {
-				j := r.IntN(i + 1)
-				out[i], out[j] = out[j], out[i]
-			}
-			break
-		}
-		mL := (m / 2) &^ 1 // even: pair-aligned boundary
-		lCompP, lComp := getInts(len(comp))
-		r := nodeRand(seed, path)
-		rem := m
-		left := mL
-		for i, c := range comp {
-			if left == 0 {
-				break
-			}
-			if c == 0 {
-				continue
-			}
-			if lightDraw(c, left, batchHeavyMean, rem) && left < 2*int64(len(comp)-i) {
-				chainTail(r, comp, i, len(comp), rem, left,
-					func(j int, k int64) { lComp[j] += k; comp[j] -= k })
-				left = 0
-				break
-			}
-			var k int64
-			if rem == left {
-				k = c
-			} else {
-				k = hypergeometric(r, rem, c, left)
-			}
-			rem -= c
-			left -= k
-			lComp[i] = k
-			comp[i] = c - k
-		}
-		if left != 0 {
-			panic("pop: arrangement splitter under-filled")
-		}
-		lPath, rPath := 2*path, 2*path+1
-		lOut, rOut := out[:mL], out[mL:]
-		if g != nil && min(mL, m-mL) >= parMinForkItems {
-			g.fork(func() { multisetSeqSplit(g, seed, lPath, lComp, lOut, lCompP) })
-			out, path = rOut, rPath
-			continue
-		}
-		multisetSeqSplit(g, seed, lPath, lComp, lOut, lCompP)
-		out, path = rOut, rPath
-	}
-	if owned != nil {
-		int64Pool.Put(owned)
-	}
-}
-
 // collisionFreeRun inverse-transform samples the collision-free run
 // length ℓ shared by both batched engines: after t collision-free
 // interactions the next is collision-free with probability
@@ -425,8 +342,8 @@ func collisionFreeRun(rng *rand.Rand, n, maxPairs int64) (ell int64, collided bo
 	return ell, false
 }
 
-// removeCountsSplit is removeCountsChain's splitter form, used by the
-// multiset engines whenever the node-seeded sampling path is active: the
+// removeCountsSplit is removeCountsChain's splitter form, used by
+// DenseSim whenever the node-seeded sampling path is active: the
 // leavers' composition is drawn by mvhSplitComp from (seed), then debited
 // through debit in id order. One seed word fully determines the removal,
 // so churn is byte-identical across worker counts.

@@ -24,11 +24,11 @@ import (
 // compared within one test must execute under the same shrink.
 func shrinkSplitter(t *testing.T) {
 	t.Helper()
-	oldLeaf, oldFork, oldChunk, oldClasses, oldMass := seqLeafSlots, parMinForkItems, pairChunkSlots, mvhLeafClasses, splitLeafMass
+	oldFork, oldClasses, oldMass := parMinForkItems, mvhLeafClasses, splitLeafMass
 	oldProcs := runtime.GOMAXPROCS(4)
-	seqLeafSlots, parMinForkItems, pairChunkSlots, mvhLeafClasses, splitLeafMass = 8, 4, 8, 2, 16
+	parMinForkItems, mvhLeafClasses, splitLeafMass = 4, 2, 16
 	t.Cleanup(func() {
-		seqLeafSlots, parMinForkItems, pairChunkSlots, mvhLeafClasses, splitLeafMass = oldLeaf, oldFork, oldChunk, oldClasses, oldMass
+		parMinForkItems, mvhLeafClasses, splitLeafMass = oldFork, oldClasses, oldMass
 		runtime.GOMAXPROCS(oldProcs)
 	})
 }
@@ -146,57 +146,6 @@ func TestMVHSplitCompMoments(t *testing.T) {
 	}
 }
 
-// TestMultisetSeqSplitArrangement: the recursive arrangement must contain
-// exactly the input multiset, be worker-count independent, and pair slots
-// (2i, 2i+1) with the uniform-pairing law — the AB-ordered-pair rate of a
-// two-class multiset must match 2·ka·kb/(m(m−1))·(m/2) in expectation.
-func TestMultisetSeqSplitArrangement(t *testing.T) {
-	shrinkSplitter(t)
-	const ka, kb = int64(70), int64(58)
-	m := ka + kb
-	out := make([]int32, m)
-	r := rand.New(rand.NewPCG(5, 6))
-	var abPairs, trials float64
-	for trial := 0; trial < 4000; trial++ {
-		seed := r.Uint64()
-		comp := []int64{ka, kb}
-		g := newParGroup(3)
-		multisetSeqSplit(g, seed, 1, comp, out, nil)
-		g.wait()
-		// Worker-count independence: rerun serially on a fresh comp.
-		comp2 := []int64{ka, kb}
-		out2 := make([]int32, m)
-		multisetSeqSplit(nil, seed, 1, comp2, out2, nil)
-		var na, nb int64
-		for i, id := range out {
-			if out2[i] != id {
-				t.Fatalf("trial %d: worker count changed the arrangement at slot %d", trial, i)
-			}
-			if id == 0 {
-				na++
-			} else {
-				nb++
-			}
-		}
-		if na != ka || nb != kb {
-			t.Fatalf("trial %d: arrangement lost the multiset: %d/%d, want %d/%d", trial, na, nb, ka, kb)
-		}
-		for i := int64(0); i < m; i += 2 {
-			if out[i] == 0 && out[i+1] == 1 {
-				abPairs++
-			}
-		}
-		trials++
-	}
-	fm := float64(m)
-	wantPerTrial := (fm / 2) * 2 * float64(ka) * float64(kb) / (fm * (fm - 1)) / 2
-	// Var per trial is below m/4; 5 SE with a small absolute slack.
-	se := math.Sqrt(fm / 4 / trials)
-	if err := stats.MeanNear(abPairs/trials, wantPerTrial, 5*se, 0.05); err != nil {
-		t.Errorf("AB-ordered-pair rate: %v", err)
-	}
-}
-
 // parSignature summarizes everything observable about an engine run that
 // the worker-count invariance suite compares: the exact end configuration,
 // the interaction count, segmented parallel time, and state accounting.
@@ -215,7 +164,8 @@ func parSignature[S comparable](e Engine[S]) string {
 // pinned-seed run at -par 1 and -par 8 (and 2, and 7) produces identical
 // end configurations and segment times on both multiset backends, for a
 // deterministic rule, a randomness-consuming rule, and a mid-run churn
-// schedule.
+// schedule. The batched engine ignores par (it has one serial sampler
+// path), so its entry pins that the option stays trajectory-neutral.
 func TestWorkerCountInvariance(t *testing.T) {
 	shrinkSplitter(t)
 	rules := map[string]Rule[int]{"am": amRule, "coin": coinRule, "max": maxRule}
@@ -286,9 +236,9 @@ func TestWorkerCountInvarianceDelegation(t *testing.T) {
 }
 
 // TestSplitPairTypeExpectation is TestDensePairTypeExpectation on the
-// splitter path, for both multiset backends: within one batch every
-// interaction is marginally a uniform ordered pair, so the one-way
-// epidemic's per-interaction infection rate must equal (S/n)·(I/(n−1)).
+// dense splitter path: within one batch every interaction is marginally
+// a uniform ordered pair, so the one-way epidemic's per-interaction
+// infection rate must equal (S/n)·(I/(n−1)).
 // This is the observable that catches receiver/sender conditioning bugs
 // in the pre-drawn sender block and its row distribution.
 func TestSplitPairTypeExpectation(t *testing.T) {
@@ -309,34 +259,21 @@ func TestSplitPairTypeExpectation(t *testing.T) {
 		}
 		return 0
 	}
-	for _, backend := range []string{"batch", "dense"} {
-		t.Run(backend, func(t *testing.T) {
-			var newInf, done float64
-			for tr := 0; tr < trials; tr++ {
-				seed := uint64(tr)*13 + 5
-				var e Engine[int]
-				var ran int64
-				if backend == "dense" {
-					d := NewDense(n, initial, oneWayEpidemic, WithSeed(seed), WithParallelism(2))
-					ran = d.runBatch(1 << 20)
-					e = d
-				} else {
-					b := NewBatch(n, initial, oneWayEpidemic, WithSeed(seed), WithParallelism(2))
-					ran = b.runBatch(1 << 20)
-					e = b
-				}
-				done += float64(ran)
-				newInf += float64(e.Count(func(s int) bool { return s == 1 }) - inf)
-			}
-			got := newInf / done
-			want := (float64(n-inf) / n) * (float64(inf) / float64(n-1))
-			// ~5 SE of the per-batch estimator is well under 10% relative at
-			// this trial count; the historical suffix bug sat at −51%.
-			if math.Abs(got-want) > 0.1*want {
-				t.Errorf("infections per interaction = %.6f, want %.6f ± 10%%", got, want)
-			}
-		})
-	}
+	t.Run("dense", func(t *testing.T) {
+		var newInf, done float64
+		for tr := 0; tr < trials; tr++ {
+			d := NewDense(n, initial, oneWayEpidemic, WithSeed(uint64(tr)*13+5), WithParallelism(2))
+			done += float64(d.runBatch(1 << 20))
+			newInf += float64(d.Count(func(s int) bool { return s == 1 }) - inf)
+		}
+		got := newInf / done
+		want := (float64(n-inf) / n) * (float64(inf) / float64(n-1))
+		// ~5 SE of the per-batch estimator is well under 10% relative at
+		// this trial count; the historical suffix bug sat at −51%.
+		if math.Abs(got-want) > 0.1*want {
+			t.Errorf("infections per interaction = %.6f, want %.6f ± 10%%", got, want)
+		}
+	})
 }
 
 // TestRemoveCountsSplitMarginals: the splitter-path removal must keep the
@@ -351,28 +288,26 @@ func TestRemoveCountsSplitMarginals(t *testing.T) {
 	states := []int{0, 1, 2, 3}
 	counts := []int64{600, 250, 100, 50}
 	const total, k, trials = 1000, 200, 3000
-	for _, be := range []Backend{Batched, Dense} {
-		t.Run(be.String(), func(t *testing.T) {
-			removed := make([]float64, len(states))
-			for tr := 0; tr < trials; tr++ {
-				e := NewEngineFromCounts(states, counts, amRule,
-					WithSeed(uint64(tr)*31+uint64(be)), WithBackend(be), WithParallelism(2))
-				before := e.Counts()
-				e.RemoveAgents(k)
-				after := e.Counts()
-				for i, s := range states {
-					removed[i] += float64(before[s] - after[s])
-				}
+	t.Run("dense", func(t *testing.T) {
+		removed := make([]float64, len(states))
+		for tr := 0; tr < trials; tr++ {
+			e := NewDenseFromCounts(states, counts, amRule,
+				WithSeed(uint64(tr)*31+uint64(Dense)), WithParallelism(2))
+			before := e.Counts()
+			e.RemoveAgents(k)
+			after := e.Counts()
+			for i, s := range states {
+				removed[i] += float64(before[s] - after[s])
 			}
-			for i, c := range counts {
-				want := float64(k) * float64(c) / float64(total)
-				se := math.Sqrt(want * float64(total-c) / total * float64(total-k) / (total - 1) / trials)
-				if err := stats.MeanNear(removed[i]/trials, want, 5*se, 0.05); err != nil {
-					t.Errorf("state %d: %v", states[i], err)
-				}
+		}
+		for i, c := range counts {
+			want := float64(k) * float64(c) / float64(total)
+			se := math.Sqrt(want * float64(total-c) / total * float64(total-k) / (total - 1) / trials)
+			if err := stats.MeanNear(removed[i]/trials, want, 5*se, 0.05); err != nil {
+				t.Errorf("state %d: %v", states[i], err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestNestedTrialsNoOversubscription: a sweep of RunTrials workers whose
@@ -401,7 +336,7 @@ func TestNestedTrialsNoOversubscription(t *testing.T) {
 		}
 	}()
 	pop := func(tr int) int {
-		e := NewBatch(4000, func(i int, _ *rand.Rand) int { return i % 3 }, amRule,
+		e := NewDense(4000, func(i int, _ *rand.Rand) int { return i % 3 }, amRule,
 			WithSeed(uint64(tr)), WithParallelism(maxprocs))
 		e.Run(40000)
 		return e.Count(func(s int) bool { return s == 1 })

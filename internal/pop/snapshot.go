@@ -5,7 +5,7 @@
 // counts), the interaction count, the per-segment parallel-time
 // accounting, the rng stream state (rand.PCG's binary form — one PCG
 // underlies both the engine's own draws and the rule stream, so a single
-// blob covers both), the parallelism class, and the engine's mode
+// blob covers both), DenseSim's parallelism class, and the engine's mode
 // (BatchSim's sequential fallback, DenseSim's delegation, each with its
 // re-check budget). Restore rebuilds an engine from a snapshot such that
 // restore-then-run is byte-identical to the uninterrupted run, for every
@@ -51,8 +51,11 @@ import (
 
 // SnapshotVersion is the current snapshot format version. Restore accepts
 // only snapshots carrying it; the version bumps whenever a field changes
-// meaning or a new field stops being optional.
-const SnapshotVersion = 1
+// meaning or a new field stops being optional. Version 2 dropped
+// BatchSim's splitter path: batch snapshots (including a dense
+// snapshot's Inner) no longer carry a parallelism class, and dense
+// snapshots no longer carry the raw option their delegations resolved.
+const SnapshotVersion = 2
 
 // Snapshot is the versioned, serializable full state of a simulation
 // engine. Fields beyond the common header apply only to the backends
@@ -77,10 +80,11 @@ type Snapshot[S comparable] struct {
 	// RNG is the rand.PCG stream state (MarshalBinary form). The multiset
 	// engines' rule stream shares the same PCG, so one blob restores both.
 	RNG []byte `json:"rng"`
-	// Par is the resolved parallelism class: 0 = legacy serial samplers,
-	// >= 1 = node-seeded splitter path. It is restored verbatim — the two
-	// classes consume the random stream differently, so the class is part
-	// of the trajectory, not a tuning knob.
+	// Par is DenseSim's resolved parallelism class: 0 = legacy serial
+	// samplers, >= 1 = node-seeded splitter path. It is restored verbatim
+	// — the two classes consume the random stream differently, so the
+	// class is part of the trajectory, not a tuning knob. BatchSim has
+	// one sampler path, so batch snapshots always carry 0.
 	Par int `json:"par,omitempty"`
 
 	// Agents is the explicit agent array: the sequential engine's
@@ -118,11 +122,9 @@ type Snapshot[S comparable] struct {
 	SeqRecheck int64 `json:"seq_recheck,omitempty"`
 
 	// DenseSim extras: the WithDenseThreshold override (0 = rescale with
-	// n on churn), the batch threshold forwarded to delegated engines,
-	// and the raw WithParallelism value future delegations will resolve.
+	// n on churn) and the batch threshold forwarded to delegated engines.
 	QMaxOverride   int `json:"qmax_override,omitempty"`
 	BatchThreshold int `json:"batch_threshold,omitempty"`
-	ParOption      int `json:"par_option,omitempty"`
 	// Inner is the delegated BatchSim's own snapshot; InnerRecheck and
 	// InnerBaseDistinct are the delegation bookkeeping around it.
 	Inner             *Snapshot[S] `json:"inner,omitempty"`
@@ -220,6 +222,9 @@ func (s *Snapshot[S]) validate() error {
 		}
 		if s.QMax <= 0 {
 			return fmt.Errorf("pop: batch snapshot has no live-state threshold")
+		}
+		if s.Par != 0 {
+			return fmt.Errorf("pop: batch snapshot has parallelism class %d; the batched engine has only the serial sampler (class 0)", s.Par)
 		}
 	case Dense.String():
 		if s.Inner != nil {
@@ -336,7 +341,6 @@ func (b *BatchSim[S]) Snapshot() (*Snapshot[S], error) {
 		TimeBase:     b.timeBase,
 		SegStart:     b.segStart,
 		RNG:          rng,
-		Par:          b.par,
 		States:       append([]S(nil), b.states...),
 		Distinct:     b.distinct,
 		QMax:         b.qMax,
@@ -373,7 +377,6 @@ func (d *DenseSim[S]) Snapshot() (*Snapshot[S], error) {
 		QMax:           d.qMax,
 		QMaxOverride:   d.qMaxOverride,
 		BatchThreshold: d.batchThreshold,
-		ParOption:      d.parOption,
 	}
 	if d.inner != nil {
 		inner, err := d.inner.Snapshot()
@@ -487,7 +490,6 @@ func restoreBatch[S comparable](snap *Snapshot[S], rule Rule[S], o options) (*Ba
 		counts:    make([]int64, len(snap.States)),
 		distinct:  snap.Distinct,
 		qMax:      snap.QMax,
-		par:       snap.Par,
 		tbl:       attachTable[S](o),
 	}
 	if b.tbl != nil {
@@ -538,7 +540,6 @@ func restoreDense[S comparable](snap *Snapshot[S], rule Rule[S], o options) (*De
 		qMaxOverride:   snap.QMaxOverride,
 		batchThreshold: snap.BatchThreshold,
 		par:            snap.Par,
-		parOption:      snap.ParOption,
 		tbl:            attachTable[S](o),
 	}
 	d.cache = make([]cacheSlot, 1<<denseCacheBits)

@@ -211,6 +211,16 @@ func TestSnapshotValidation(t *testing.T) {
 		{"counts-total", func(s *Snapshot[int]) { s.Counts[0]++ }, "total"},
 		{"no-rng", func(s *Snapshot[int]) { s.RNG = nil }, "rng"},
 		{"dup-state", func(s *Snapshot[int]) { s.States[1] = s.States[0] }, "repeats"},
+		// Version 1 carried BatchSim's splitter class; its snapshots are
+		// refused rather than silently resumed on the serial sampler.
+		{"version-1", func(s *Snapshot[int]) { s.Version = 1 }, "version"},
+		{"batch-par", func(s *Snapshot[int]) { s.Par = 2 }, "parallelism class"},
+		{"dense-inner-par", func(s *Snapshot[int]) {
+			inner := *s
+			inner.Par = 1
+			*s = Snapshot[int]{Version: s.Version, Backend: Dense.String(), N: s.N,
+				RNG: s.RNG, QMax: 8, Inner: &inner}
+		}, "parallelism class"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

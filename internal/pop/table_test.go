@@ -132,7 +132,8 @@ func TestCompiledRuleRandomizedDistribution(t *testing.T) {
 }
 
 // tableEngines builds the multiset-engine variants the bypass tests run
-// over: batched and dense, serial and forced-parallel.
+// over: batched and dense, each with and without WithParallelism (which
+// only the dense engine honors).
 func tableEngines(n int, init func(int, *rand.Rand) int, rule Rule[int], opts ...Option) map[string]Engine[int] {
 	return map[string]Engine[int]{
 		"batch":      NewBatch(n, init, rule, opts...),

@@ -65,8 +65,8 @@
 // pop.RunTrials.
 //
 // A single trial also parallelizes: RunOptions.Parallelism (the
-// commands' -par flag) switches the multiset engines' hot sampling
-// paths to a divide-and-conquer splitter that fans out across cores
+// commands' -par flag) switches the dense engine's hot sampling paths
+// to a divide-and-conquer splitter that fans out across cores
 // while deriving all randomness from (seed, tree-node path) rather than
 // worker identity — any Parallelism >= 1 produces the byte-identical
 // trajectory, so parallel runs remain exactly reproducible. The default
