@@ -20,15 +20,17 @@
 // not on states: the next interaction is collision-free with probability
 // (n−2t)(n−2t−1)/(n(n−1)) after t collision-free interactions. BatchSim
 // inverse-transform samples the run length ℓ until the first collision
-// (or a cap), giving a run of ℓ interactions among 2ℓ distinct agents — a
-// uniform sample without replacement from the population. The 2ℓ
-// participant states are therefore a multivariate hypergeometric draw
-// from the counts vector, taken either state-by-state (when batches are
-// long relative to q, with a Fisher–Yates shuffle realizing the uniformly
-// random pairing) or slot-by-slot through a Fenwick tree (when q is large
-// relative to the batch). The collision interaction itself, when one was
-// sampled, is resolved exactly: the colliding pair is drawn from the
-// correct conditional distribution over batch participants (whose
+// (or a cap) by binary search in a per-engine table of the survival
+// product, in O(log ℓ) (see runLengthTable), giving a run of ℓ
+// interactions among 2ℓ distinct agents — a uniform sample without
+// replacement from the population. The 2ℓ participant states are
+// therefore a multivariate hypergeometric draw from the counts vector,
+// taken either state-by-state (when batches are long relative to q, with
+// a Fisher–Yates shuffle realizing the uniformly random pairing) or
+// slot-by-slot through a Fenwick tree (when q is large relative to the
+// batch). The collision interaction itself, when one was sampled, is
+// resolved exactly: the colliding pair is drawn from the correct
+// conditional distribution over batch participants (whose
 // post-interaction states are known) and outsiders. The configuration
 // trajectory is consequently distributed identically to the sequential
 // engine's, up to float64 rounding in two inverse-transform samplers (the
@@ -179,6 +181,8 @@ type BatchSim[S comparable] struct {
 	seqMode    bool
 	agents     []S
 	seqRecheck int64 // interactions until the next re-entry check
+
+	runLen runLengthTable // ℓ sampler, derived from n (see runlen.go)
 
 	tree  fenwick
 	slots []int32 // batch scratch: pre states, then post states
@@ -511,13 +515,13 @@ func (b *BatchSim[S]) Run(k int64) {
 // returns how many interactions it executed.
 func (b *BatchSim[S]) runBatch(kmax int64) int64 {
 	n := int64(b.n)
-	// Sample the collision-free run length ℓ (see collisionFreeRun): a
+	// Sample the collision-free run length ℓ (see runLengthTable): a
 	// cap from kmax, scratch limits or population size just ends the
 	// batch early with no collision interaction, which composes exactly —
 	// each batch draws its participants from the fully committed
 	// configuration.
 	maxPairs := min(int64(maxBatchPairs), kmax, n/3+1)
-	ell, collided := collisionFreeRun(b.rng, n, maxPairs)
+	ell, collided := b.runLen.collisionFreeRun(b.rng, n, maxPairs)
 	if ell == 0 {
 		// Only possible when a cap degenerated; fall back to one exact step.
 		b.Step()

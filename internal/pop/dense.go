@@ -91,9 +91,10 @@ type DenseStats struct {
 
 const (
 	// denseMaxPairs caps a single pair-matrix batch's length. Dense
-	// batches have no per-slot scratch, so the cap only bounds the O(ℓ)
-	// run-length inverse transform; it binds well above the natural
-	// Θ(√n) collision point for every feasible n.
+	// batches have no per-slot scratch, so the cap only bounds the
+	// run-length table (see runLengthTable), which a draw extends only as
+	// far as its uniform needs; it binds well above the natural Θ(√n)
+	// collision point for every feasible n.
 	denseMaxPairs = 1 << 20
 	// denseCacheBits sizes DenseSim's direct-mapped transition cache.
 	// Dense mode runs only below the live-state threshold, so its hot
@@ -169,6 +170,8 @@ type DenseSim[S comparable] struct {
 	inner             *BatchSim[S]
 	innerBaseDistinct int
 	innerRecheck      int64
+
+	runLen runLengthTable // ℓ sampler, derived from n (see runlen.go)
 
 	// Batch scratch: receiver counts and the participants' post-state
 	// multiset, both indexed by state id. post can grow during a batch as
@@ -618,10 +621,10 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 		return d.runBatchSplit(kmax)
 	}
 	n := int64(d.n)
-	// Collision-free run length ℓ (see collisionFreeRun); a cap just ends
+	// Collision-free run length ℓ (see runLengthTable); a cap just ends
 	// the batch early with no collision interaction.
 	maxPairs := min(int64(denseMaxPairs), kmax, n/3+1)
-	ell, collided := collisionFreeRun(d.rng, n, maxPairs)
+	ell, collided := d.runLen.collisionFreeRun(d.rng, n, maxPairs)
 	if ell == 0 {
 		// Only possible when a cap degenerated; fall back to one exact step.
 		d.Step()
@@ -678,7 +681,7 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 func (d *DenseSim[S]) runBatchSplit(kmax int64) int64 {
 	n := int64(d.n)
 	maxPairs := min(int64(denseMaxPairs), kmax, n/3+1)
-	ell, collided := collisionFreeRun(d.rng, n, maxPairs)
+	ell, collided := d.runLen.collisionFreeRun(d.rng, n, maxPairs)
 	if ell == 0 {
 		// Only possible when a cap degenerated; fall back to one exact step.
 		d.Step()

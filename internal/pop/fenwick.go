@@ -42,17 +42,20 @@ func (f *fenwick) add(i int, delta int64) {
 // findAndDec maps u ∈ [0, total) to the index i whose weight interval
 // contains u (probability weight(i)/total) and decrements that weight, in
 // a single descent: the nodes not descended past are exactly the tree
-// ancestors of i that a subsequent add(i, -1) would touch.
+// ancestors of i that a subsequent add(i, -1) would touch. The descent is
+// branch-free — which way it goes is close to a coin flip per level, so a
+// branch would mispredict about half the time: keep is -1 when the node
+// holds u (stay left of it and decrement it) and 0 when u lies beyond it
+// (skip its weight), and the node is stored back either way.
 func (f *fenwick) findAndDec(u int64) int {
 	i := 0
 	for step := f.maxStep; step > 0; step >>= 1 {
 		if next := i + step; next <= f.size {
-			if f.tree[next] <= u {
-				u -= f.tree[next]
-				i = next
-			} else {
-				f.tree[next]--
-			}
+			v := f.tree[next]
+			keep := (u - v) >> 63 // weights are non-negative and u < total: no overflow
+			u -= v &^ keep
+			i += step &^ int(keep)
+			f.tree[next] = v + keep
 		}
 	}
 	return i // 0-based: we advanced past i elements

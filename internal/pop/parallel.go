@@ -320,28 +320,6 @@ func mvhSplitComp(g *parGroup, seed, path uint64, counts, cum []int64, lo, hi in
 	}
 }
 
-// collisionFreeRun inverse-transform samples the collision-free run
-// length ℓ shared by both batched engines: after t collision-free
-// interactions the next is collision-free with probability
-// (n−2t)(n−2t−1)/(n(n−1)). A cap just ends the batch early with no
-// collision interaction, which composes exactly. It consumes exactly one
-// Float64 from rng.
-func collisionFreeRun(rng *rand.Rand, n, maxPairs int64) (ell int64, collided bool) {
-	u := rng.Float64()
-	surv := 1.0
-	invNN := 1 / (float64(n) * float64(n-1))
-	for ell < maxPairs {
-		a := float64(n - 2*ell)
-		next := surv * a * (a - 1) * invNN
-		if next <= u {
-			return ell, true
-		}
-		surv = next
-		ell++
-	}
-	return ell, false
-}
-
 // removeCountsSplit is removeCountsChain's splitter form, used by
 // DenseSim whenever the node-seeded sampling path is active: the
 // leavers' composition is drawn by mvhSplitComp from (seed), then debited
