@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +42,68 @@ func BenchmarkEngineStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
+	}
+}
+
+// BenchmarkSimStep measures the sequential engine per interaction on the
+// workloads that shape its tiers: exact counting at n = 1600 (E16's
+// baseline; nearly every interaction is a follower-follower no-op the
+// transition cache serves), the core protocol at n = 1600 warmed for 60
+// time units, compose+majority at n = 400 (E17), and the worst case for
+// the cache — a rule that gives every agent its own ever-changing state,
+// which must run on the direct tier at the plain agent-array cost — at
+// n = 10³ and 10⁶. Construction and warm-up are untimed; heap_MB is the
+// live heap after the timed run. Uses only the public engine API, so the
+// same benchmark runs against any version of the engine.
+func BenchmarkSimStep(b *testing.B) {
+	type distinct struct{ ID, C uint32 }
+	distinctRule := func(rec, sen distinct, _ *rand.Rand) (distinct, distinct) {
+		rec.C++
+		sen.C++
+		return rec, sen
+	}
+	opinions := make([]int8, 400)
+	for i := range opinions {
+		opinions[i] = int8(1 - 2*(i%5/3)) // 60/40 split
+	}
+	rows := []struct {
+		name  string
+		build func() func(k int64)
+	}{
+		{"exactcount/n=1600", func() func(int64) {
+			s := exactcount.New(0).NewSim(1600, pop.WithSeed(1))
+			return s.Run
+		}},
+		{"core/n=1600", func() func(int64) {
+			s := core.MustNew(core.FastConfig()).NewSim(1600, pop.WithSeed(1))
+			s.RunTime(60)
+			return s.Run
+		}},
+		{"compose/n=400", func() func(int64) {
+			p := compose.MustNew(compose.Config{F: 16}, majority.Downstream(opinions))
+			return p.NewSim(400, pop.WithSeed(1)).Run
+		}},
+		{"distinct/n=1000", func() func(int64) {
+			return pop.New(1000, func(i int, _ *rand.Rand) distinct { return distinct{ID: uint32(i)} },
+				distinctRule, pop.WithSeed(1)).Run
+		}},
+		{"distinct/n=1000000", func() func(int64) {
+			return pop.New(1000000, func(i int, _ *rand.Rand) distinct { return distinct{ID: uint32(i)} },
+				distinctRule, pop.WithSeed(1)).Run
+		}},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			run := row.build()
+			b.ResetTimer()
+			run(int64(b.N))
+			b.StopTimer()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heap_MB")
+			runtime.KeepAlive(run)
+		})
 	}
 }
 
@@ -113,8 +176,10 @@ func warmedConfigLocked(n int) warmedMultiset {
 // BenchmarkEngineInteractions is the core-protocol backend comparison:
 // ns/interaction for each engine on identical steady-state configurations
 // at n >= 10⁵. The batched engine's advantage over sequential grows with
-// n as the agent array falls out of cache (~1.3× at n = 10⁵, ~3× at 10⁶,
-// ~6× at 10⁷); the dense engine's pair-matrix batches pull ahead of
+// n as the sequential engine's id array falls out of cache: with its
+// transition cache the sequential engine leads at n = 10⁵ (~50 vs ~65–95
+// ns/interaction), batched leads ~1.4× at 10⁶ and ~2.3× at 10⁷ on a
+// 2-core Xeon container; the dense engine's pair-matrix batches pull ahead of
 // batch's per-slot sampling as batches lengthen relative to the live-
 // state count — measured ~5% at 10⁷, ~15% at 10⁸ and ~1.8× at 10⁹
 // (23 vs 43 ns/interaction) on an otherwise idle 2.1 GHz Xeon. The

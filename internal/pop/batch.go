@@ -64,7 +64,6 @@ package pop
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sort"
 )
@@ -704,27 +703,21 @@ func (b *BatchSim[S]) applyPair(ida, idb int32) (int32, int32) {
 			return oa, ob
 		}
 	}
-	cached := ida < cacheMaxID && idb < cacheMaxID
-	var key uint64
-	var slot *cacheSlot
-	if cached {
-		key = b.cacheGen<<44 | uint64(ida)<<22 | uint64(idb)
-		slot = &b.cache[(key*0x9e3779b97f4a7c15)>>(64-cacheBits)]
-		if slot.key == key {
-			b.stats.CacheHits++
-			return int32(slot.out >> 32), int32(slot.out & math.MaxUint32)
-		}
-	} else {
+	if oa, ob, ok := cacheProbe(b.cache, cacheBits, b.cacheGen, ida, idb); ok {
+		b.stats.CacheHits++
+		return oa, ob
+	}
+	if ida >= cacheMaxID || idb >= cacheMaxID {
 		b.stats.UncachedPairs++
 	}
 	before := b.ruleRand.words
 	sa, sb := b.rule(b.states[ida], b.states[idb], b.ruleRng)
 	b.stats.RuleCalls++
 	oa, ob := b.intern(sa), b.intern(sb)
-	if cached && b.ruleRand.words == before {
+	if b.ruleRand.words == before {
 		// The rule consumed no randomness, so this transition is a pure
 		// function of the input pair: cache it.
-		*slot = cacheSlot{key: key, out: uint64(uint32(oa))<<32 | uint64(uint32(ob))}
+		cacheStore(b.cache, cacheBits, b.cacheGen, ida, idb, oa, ob)
 	}
 	return oa, ob
 }
@@ -775,36 +768,10 @@ func (b *BatchSim[S]) compact() {
 	// Ids were remapped: advance the cache generation so stale entries
 	// can never match, then carry the still-live hot transitions over
 	// under their new ids (re-deriving them would cost a rule call per
-	// hot pair after every compaction). The generation field is 20 bits;
-	// wrap it explicitly (clearing the table so no pre-wrap entry can
-	// alias a post-wrap key) rather than silently overflowing.
+	// hot pair after every compaction).
 	oldGen := b.cacheGen
-	if b.cacheGen+1 >= 1<<20 {
-		for i := range b.cache {
-			b.cache[i] = cacheSlot{}
-		}
-		b.cacheGen = 1
-		return
-	}
-	b.cacheGen++
-	for i := range b.cache {
-		s := b.cache[i]
-		if s.key == 0 || s.key>>44 != oldGen {
-			continue
-		}
-		a, c := int32(s.key>>22)&(cacheMaxID-1), int32(s.key)&(cacheMaxID-1)
-		oa, ob := int32(s.out>>32), int32(s.out&math.MaxUint32)
-		if int(a) >= len(remap) || int(c) >= len(remap) || int(oa) >= len(remap) || int(ob) >= len(remap) {
-			continue
-		}
-		na, nc, noa, nob := remap[a], remap[c], remap[oa], remap[ob]
-		if na < 0 || nc < 0 || noa < 0 || nob < 0 {
-			continue
-		}
-		key := b.cacheGen<<44 | uint64(na)<<22 | uint64(nc)
-		b.cache[(key*0x9e3779b97f4a7c15)>>(64-cacheBits)] = cacheSlot{
-			key: key, out: uint64(uint32(noa))<<32 | uint64(uint32(nob))}
-	}
+	b.cacheGen = advanceCacheGen(b.cache, oldGen)
+	carryCache(b.cache, cacheBits, oldGen, b.cacheGen, remap)
 }
 
 // materialize switches to the sequential fallback: the multiset is

@@ -219,8 +219,8 @@ func TestChurnStateTracking(t *testing.T) {
 		t.Fatalf("icounts length %d after join, want 120", len(s.icounts))
 	}
 	s.RemoveAgents(50)
-	if len(s.icounts) != len(s.agents) {
-		t.Fatalf("icounts length %d diverged from %d agents after removal", len(s.icounts), len(s.agents))
+	if len(s.icounts) != len(s.Agents()) {
+		t.Fatalf("icounts length %d diverged from %d agents after removal", len(s.icounts), len(s.Agents()))
 	}
 	s.Run(200)
 	if s.MaxInteractionCount() == 0 {

@@ -590,14 +590,7 @@ func (d *DenseSim[S]) reenter() {
 // advancing the generation (clearing the table on the rare wrap, so no
 // pre-wrap entry can alias a post-wrap key).
 func (d *DenseSim[S]) invalidateCache() {
-	if d.cacheGen+1 >= 1<<20 {
-		for i := range d.cache {
-			d.cache[i] = cacheSlot{}
-		}
-		d.cacheGen = 1
-		return
-	}
-	d.cacheGen++
+	d.cacheGen = advanceCacheGen(d.cache, d.cacheGen)
 }
 
 // resizeZero returns s with length n and every element zero, reusing its
@@ -991,11 +984,72 @@ func cacheProbe(cache []cacheSlot, bits uint, gen uint64, ida, idb int32) (oa, o
 		return 0, 0, false
 	}
 	key := gen<<44 | uint64(ida)<<22 | uint64(idb)
-	s := cache[(key*0x9e3779b97f4a7c15)>>(64-bits)]
+	s := cache[cacheIndex(key, bits)]
 	if s.key != key {
 		return 0, 0, false
 	}
 	return int32(s.out >> 32), int32(s.out & math.MaxUint32), true
+}
+
+// cacheStore is cacheProbe's write half: it records (oa, ob) as the
+// deterministic outputs of the ordered id pair under the given
+// generation, evicting whatever shared the slot. Pairs with an id at or
+// beyond cacheMaxID are not packable and are silently skipped.
+func cacheStore(cache []cacheSlot, bits uint, gen uint64, ida, idb, oa, ob int32) {
+	if ida >= cacheMaxID || idb >= cacheMaxID {
+		return
+	}
+	key := gen<<44 | uint64(ida)<<22 | uint64(idb)
+	cache[cacheIndex(key, bits)] = cacheSlot{key: key, out: uint64(uint32(oa))<<32 | uint64(uint32(ob))}
+}
+
+// cacheIndex maps a cache key to its slot among 1<<bits. The key packs
+// two small ids linearly, and a single multiplicative hash maps such keys
+// onto a lattice: 135×135 id pairs landed in 4071 of 2¹⁶ slots, evicting
+// each other on every probe. An xor-shift and a second multiply spread
+// them like random keys (15944 slots, the random expectation).
+func cacheIndex(key uint64, bits uint) uint64 {
+	h := key * 0x9e3779b97f4a7c15
+	h ^= h >> 32
+	return (h * 0x9e3779b97f4a7c15) >> (64 - bits)
+}
+
+// advanceCacheGen returns the generation after gen, making every entry
+// stored under gen or earlier unmatchable. The generation field is 20
+// bits; on the rare wrap it clears the table (so no pre-wrap entry can
+// alias a post-wrap key) and restarts at 1.
+func advanceCacheGen(cache []cacheSlot, gen uint64) uint64 {
+	if gen+1 >= 1<<20 {
+		clear(cache)
+		return 1
+	}
+	return gen + 1
+}
+
+// carryCache re-keys the entries stored under oldGen to gen through an
+// interning compaction's remap (old id → new id, -1 if dead), dropping
+// any entry that touches a dead id, so the hot transitions survive a
+// compaction instead of costing a rule call each to re-derive. After a
+// wrap (gen == 1) the table is already clear and nothing is carried.
+func carryCache(cache []cacheSlot, bits uint, oldGen, gen uint64, remap []int32) {
+	if gen == 1 {
+		return
+	}
+	for _, s := range cache {
+		if s.key == 0 || s.key>>44 != oldGen {
+			continue
+		}
+		a, c := int32(s.key>>22)&(cacheMaxID-1), int32(s.key)&(cacheMaxID-1)
+		oa, ob := int32(s.out>>32), int32(s.out&math.MaxUint32)
+		if int(a) >= len(remap) || int(c) >= len(remap) || int(oa) >= len(remap) || int(ob) >= len(remap) {
+			continue
+		}
+		na, nc, noa, nob := remap[a], remap[c], remap[oa], remap[ob]
+		if na < 0 || nc < 0 || noa < 0 || nob < 0 {
+			continue
+		}
+		cacheStore(cache, bits, gen, na, nc, noa, nob)
+	}
 }
 
 // sampleParticipants draws a uniform without-replacement sample of m
@@ -1135,18 +1189,11 @@ func (d *DenseSim[S]) applyCell(ida, idb int32, mult int64) {
 			return
 		}
 	}
-	cached := ida < cacheMaxID && idb < cacheMaxID
-	var key uint64
-	var slot *cacheSlot
-	if cached {
-		key = d.cacheGen<<44 | uint64(ida)<<22 | uint64(idb)
-		slot = &d.cache[(key*0x9e3779b97f4a7c15)>>(64-denseCacheBits)]
-		if slot.key == key {
-			d.stats.CacheHits += mult
-			d.addPost(int32(slot.out>>32), mult)
-			d.addPost(int32(slot.out&math.MaxUint32), mult)
-			return
-		}
+	if oa, ob, ok := d.cacheLookup(ida, idb); ok {
+		d.stats.CacheHits += mult
+		d.addPost(oa, mult)
+		d.addPost(ob, mult)
+		return
 	}
 	for mult > 0 {
 		before := d.ruleRand.words
@@ -1154,9 +1201,7 @@ func (d *DenseSim[S]) applyCell(ida, idb int32, mult int64) {
 		d.stats.RuleCalls++
 		oa, ob := d.intern(sa), d.intern(sb)
 		if d.ruleRand.words == before {
-			if cached {
-				*slot = cacheSlot{key: key, out: uint64(uint32(oa))<<32 | uint64(uint32(ob))}
-			}
+			cacheStore(d.cache, denseCacheBits, d.cacheGen, ida, idb, oa, ob)
 			d.addPost(oa, mult)
 			d.addPost(ob, mult)
 			return
@@ -1261,25 +1306,5 @@ func (d *DenseSim[S]) compact() {
 
 	oldGen := d.cacheGen
 	d.invalidateCache()
-	if d.cacheGen == 1 {
-		return // wrapped: table cleared, nothing to carry
-	}
-	for i := range d.cache {
-		s := d.cache[i]
-		if s.key == 0 || s.key>>44 != oldGen {
-			continue
-		}
-		a, c := int32(s.key>>22)&(cacheMaxID-1), int32(s.key)&(cacheMaxID-1)
-		oa, ob := int32(s.out>>32), int32(s.out&math.MaxUint32)
-		if int(a) >= len(remap) || int(c) >= len(remap) || int(oa) >= len(remap) || int(ob) >= len(remap) {
-			continue
-		}
-		na, nc, noa, nob := remap[a], remap[c], remap[oa], remap[ob]
-		if na < 0 || nc < 0 || noa < 0 || nob < 0 {
-			continue
-		}
-		key := d.cacheGen<<44 | uint64(na)<<22 | uint64(nc)
-		d.cache[(key*0x9e3779b97f4a7c15)>>(64-denseCacheBits)] = cacheSlot{
-			key: key, out: uint64(uint32(noa))<<32 | uint64(uint32(nob))}
-	}
+	carryCache(d.cache, denseCacheBits, oldGen, d.cacheGen, remap)
 }

@@ -25,7 +25,9 @@
 // interning table, by contrast, IS captured in full — including entries
 // whose count has dropped to zero — because the compaction trigger reads
 // the table length, so dropping dead entries would change when future
-// compactions fire.
+// compactions fire. The sequential engine is the exception: its
+// compactions and tier switches never draw from the random stream, so a
+// seq snapshot holds only the agent array, and Restore re-interns it.
 //
 // # Versioning and compatibility
 //
@@ -305,12 +307,12 @@ func (s *Sim[S]) Snapshot() (*Snapshot[S], error) {
 	snap := &Snapshot[S]{
 		Version:      SnapshotVersion,
 		Backend:      Sequential.String(),
-		N:            len(s.agents),
+		N:            s.n,
 		Interactions: s.interactions,
 		TimeBase:     s.timeBase,
 		SegStart:     s.segStart,
 		RNG:          rng,
-		Agents:       append([]S(nil), s.agents...),
+		Agents:       s.AgentStates(),
 	}
 	if s.seen != nil {
 		snap.TrackStates = true
@@ -422,30 +424,30 @@ func Restore[S comparable](snap *Snapshot[S], rule Rule[S], opts ...Option) (Eng
 	}
 }
 
-// restoreSim rebuilds a sequential engine.
+// restoreSim rebuilds a sequential engine. Its tier is chosen afresh
+// from the restored configuration (see newSim); the tier never affects
+// the trajectory, so neither the tier nor the interning table and cache
+// behind it are part of the snapshot.
 func restoreSim[S comparable](snap *Snapshot[S], rule Rule[S]) (*Sim[S], error) {
 	pcg, err := restorePCG(snap.RNG)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sim[S]{
-		pcg:          pcg,
-		rng:          rand.New(pcg),
-		agents:       append([]S(nil), snap.Agents...),
-		rule:         rule,
-		interactions: snap.Interactions,
-		timeBase:     snap.TimeBase,
-		segStart:     snap.SegStart,
-	}
+	var seen map[S]struct{}
 	if snap.TrackStates {
-		s.seen = make(map[S]struct{}, 2*len(snap.Seen))
+		seen = make(map[S]struct{}, 2*len(snap.Seen))
 		for _, st := range snap.Seen {
-			s.seen[st] = struct{}{}
+			seen[st] = struct{}{}
 		}
 	}
+	var icounts []int64
 	if snap.ICounts != nil {
-		s.icounts = append([]int64(nil), snap.ICounts...)
+		icounts = append([]int64(nil), snap.ICounts...)
 	}
+	s := newSim(pcg, append([]S(nil), snap.Agents...), rule, seen, icounts)
+	s.interactions = snap.Interactions
+	s.timeBase = snap.TimeBase
+	s.segStart = snap.SegStart
 	return s, nil
 }
 

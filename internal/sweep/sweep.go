@@ -224,6 +224,11 @@ func Run(spec Spec, opt Options) (*Results, error) {
 // same spec can be resumed later via Options.Done. A failed opt.Out write
 // cancels the remaining queue the same way: no compute is burned on
 // trials whose records can no longer be persisted.
+// usesParClass reports whether a sweep on backend b can reach the dense
+// engine, whose -par class (0 = legacy samplers, >= 1 = splitter path)
+// selects the trajectory.
+func usesParClass(b pop.Backend) bool { return b == pop.Dense || b == pop.Auto }
+
 func RunContext(ctx context.Context, spec Spec, opt Options) (*Results, error) {
 	units := spec.Units()
 	res := NewResults()
@@ -240,7 +245,9 @@ func RunContext(ctx context.Context, spec Spec, opt Options) (*Results, error) {
 					"sweep: checkpoint record %+v was produced on backend %q but the sweep runs %q — resume with the matching -backend or start fresh",
 					u.Key, rec.Backend, spec.Backend)
 			}
-			if (rec.Par == 0) != (spec.Par == 0) {
+			// Only the dense engine (run directly or picked by auto) has
+			// two sampling paths; seq and batch sweeps never read -par.
+			if usesParClass(spec.Backend) && (rec.Par == 0) != (spec.Par == 0) {
 				return nil, fmt.Errorf(
 					"sweep: checkpoint record %+v was produced with -par %d but the sweep runs -par %d — the legacy and splitter sampling paths take different trajectories; resume with a matching -par class or start fresh",
 					u.Key, rec.Par, spec.Par)

@@ -230,12 +230,33 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 		t.Error("auto-backend checkpoint accepted by a batch-backend sweep")
 	}
 	// A -par 0 checkpoint resumed by a -par >= 1 sweep (or vice versa)
-	// must be rejected: the legacy and splitter sampling paths take
-	// different trajectories for the same seed.
+	// must be rejected wherever the dense engine can run (auto, dense):
+	// its legacy and splitter sampling paths take different trajectories
+	// for the same seed.
 	parred := testSpec(1)
 	parred.Par = 4
 	if _, err := Run(parred, Options{Done: done}); err == nil {
 		t.Error("-par 0 checkpoint accepted by a -par 4 sweep")
+	}
+	// seq and batch sweeps never read -par, so a mismatch there is
+	// accepted; dense refuses it like auto.
+	for _, b := range []pop.Backend{pop.Sequential, pop.Batched, pop.Dense} {
+		src := testSpec(1)
+		src.Backend = b
+		res, err := Run(src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doneB := map[Key]Record{}
+		for _, r := range res.Sorted() {
+			doneB[r.Key] = r
+		}
+		resumed := testSpec(1)
+		resumed.Backend, resumed.Par = b, 4
+		_, err = Run(resumed, Options{Done: doneB})
+		if refuse := b == pop.Dense; refuse != (err != nil) {
+			t.Errorf("%v: -par 0 checkpoint resumed at -par 4: err = %v, want refusal %v", b, err, refuse)
+		}
 	}
 	// Within the splitter class the trajectory is worker-count
 	// independent, so two nonzero -par values are compatible.

@@ -29,8 +29,12 @@
 //
 //   - The sequential engine (pop.Sequential) keeps an explicit agent
 //     array and simulates one interaction at a time. It is the reference
-//     implementation: simple, allocation-free per step, and the only
-//     engine with per-agent instrumentation (interaction counts).
+//     implementation and the only engine with per-agent instrumentation
+//     (interaction counts). Agents hold interned state ids, and
+//     transitions whose rule drew no randomness are served from an
+//     id-pair cache without calling the rule; runs are byte-identical to
+//     stepping the plain state array, which it falls back to when a
+//     configuration is too dispersed for the cache.
 //
 //   - The batched engine (pop.Batched) keeps only the configuration
 //     multiset — state counts — and simulates collision-free batches of
@@ -38,8 +42,8 @@
 //     deterministic-transition cache, following Berenbrink et al.
 //     (arXiv:2005.03584). Its per-interaction cost depends on the number
 //     of live states (O(log⁴ n) here, per Lemma 3.9) rather than on n,
-//     so it overtakes the sequential engine as populations grow: ~3× at
-//     n = 10⁶ and >5× at n = 10⁷ on this protocol. Trajectories are
+//     so it overtakes the sequential engine as populations grow: ~1.4× at
+//     n = 10⁶ and ~2.3× at n = 10⁷ on this protocol. Trajectories are
 //     identically distributed to the sequential engine's — validated by
 //     the cross-backend equivalence suite — but not bit-identical for a
 //     given seed, and the engine falls back to exact sequential stepping
