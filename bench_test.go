@@ -189,15 +189,8 @@ func warmedConfigLocked(n int) warmedMultiset {
 // configuration in a few kilobytes. Run with a large fixed -benchtime
 // (e.g. -benchtime=20000000x) for stable numbers; -short skips every
 // population size above 10⁶ (the 10⁸⁺ rows warm for minutes, see
-// warmedConfig).
-// Sub-benchmark rows carry a parallelism dimension on the dense backend:
-// the bare row (no /par segment) is the default configuration (legacy
-// serial samplers below pop's auto threshold of ~1.7·10⁷ agents, the
-// splitter path with a GOMAXPROCS worker target above), /par=1 is the
-// node-seeded splitter path executed serially, and /par=8 the same path
-// with an 8-worker target — byte-identical trajectories by construction,
-// so their ns/interaction ratio is pure execution speedup. The sequential
-// and batched backends ignore parallelism and bench only bare.
+// warmedConfig). Rows are named backend/n=N; every engine runs its one
+// serial sampler.
 func BenchmarkEngineInteractions(b *testing.B) {
 	p := core.MustNew(core.FastConfig())
 	all := []pop.Backend{pop.Sequential, pop.Batched, pop.Dense}
@@ -215,26 +208,16 @@ func BenchmarkEngineInteractions(b *testing.B) {
 			continue
 		}
 		for _, backend := range row.backends {
-			pars := []int{0}
-			if backend == pop.Dense {
-				pars = []int{0, 1, 8}
-			}
-			for _, par := range pars {
-				name := fmt.Sprintf("%v/n=%d", backend, row.n)
-				if par > 0 {
-					name += fmt.Sprintf("/par=%d", par)
-				}
-				b.Run(name, func(b *testing.B) {
-					// Warming inside the sub-benchmark (excluded from the
-					// timing below) so -bench filters only pay for the sizes
-					// they select.
-					cfg := warmedConfig(b, row.n)
-					e := pop.NewEngineFromCounts(cfg.states, cfg.counts, p.Rule,
-						pop.WithSeed(9), pop.WithBackend(backend), pop.WithParallelism(par))
-					b.ResetTimer()
-					e.Run(int64(b.N))
-				})
-			}
+			b.Run(fmt.Sprintf("%v/n=%d", backend, row.n), func(b *testing.B) {
+				// Warming inside the sub-benchmark (excluded from the
+				// timing below) so -bench filters only pay for the sizes
+				// they select.
+				cfg := warmedConfig(b, row.n)
+				e := pop.NewEngineFromCounts(cfg.states, cfg.counts, p.Rule,
+					pop.WithSeed(9), pop.WithBackend(backend))
+				b.ResetTimer()
+				e.Run(int64(b.N))
+			})
 		}
 	}
 }

@@ -53,14 +53,11 @@ import (
 	"strings"
 )
 
-// Entry is one benchmark measurement. Par is the sub-benchmark's
-// intra-trial parallelism target (0 when the row has no /par segment —
-// the backend's default configuration).
+// Entry is one benchmark measurement.
 type Entry struct {
 	Benchmark string  `json:"benchmark"`
 	Backend   string  `json:"backend,omitempty"`
 	N         int     `json:"n,omitempty"`
-	Par       int     `json:"par,omitempty"`
 	Iters     int64   `json:"iters"`
 	NsPerOp   float64 `json:"ns_per_op"`
 }
@@ -69,10 +66,9 @@ type Entry struct {
 // "BenchmarkEngineInteractions/seq/n=1000000-8  20000000  118.3 ns/op".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op`)
 
-// subName extracts backend, n and the optional parallelism target from a
-// sub-benchmark path like "BenchmarkEngineInteractions/seq/n=1000000-8"
-// or "BenchmarkEngineInteractions/batch/n=100000000/par=8-8".
-var subName = regexp.MustCompile(`^[^/]+/([^/]+)/n=(\d+)(?:/par=(\d+))?(?:-\d+)?$`)
+// subName extracts backend and n from a sub-benchmark path like
+// "BenchmarkEngineInteractions/seq/n=1000000-8".
+var subName = regexp.MustCompile(`^[^/]+/([^/]+)/n=(\d+)(?:-\d+)?$`)
 
 func parse(r io.Reader) ([]Entry, error) {
 	sc := bufio.NewScanner(r)
@@ -94,30 +90,22 @@ func parse(r io.Reader) ([]Entry, error) {
 		if sm := subName.FindStringSubmatch(m[1]); sm != nil {
 			e.Backend = sm[1]
 			e.N, _ = strconv.Atoi(sm[2])
-			if sm[3] != "" {
-				e.Par, _ = strconv.Atoi(sm[3])
-			}
 		}
 		entries = append(entries, e)
 	}
 	return entries, sc.Err()
 }
 
-// gateKey identifies a backend×n×par grid row independent of the -procs
+// gateKey identifies a backend×n grid row independent of the -procs
 // suffix (which varies across machines): "EngineInteractions/batch/n=1e6"
-// on a 4-core and an 8-core runner are the same row, and a /par=8 row is
-// distinct from the bare default-configuration row. Entries without a
+// on a 4-core and an 8-core runner are the same row. Entries without a
 // parsed backend are not gated.
 func gateKey(e Entry) (string, bool) {
 	if e.Backend == "" {
 		return "", false
 	}
 	base, _, _ := strings.Cut(e.Benchmark, "/")
-	key := fmt.Sprintf("%s/%s/n=%d", base, e.Backend, e.N)
-	if e.Par > 0 {
-		key += fmt.Sprintf("/par=%d", e.Par)
-	}
-	return key, true
+	return fmt.Sprintf("%s/%s/n=%d", base, e.Backend, e.N), true
 }
 
 // compareEntries diffs fresh against baseline at the given relative

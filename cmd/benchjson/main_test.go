@@ -14,7 +14,7 @@ goarch: amd64
 BenchmarkEngineInteractions/seq/n=100000-8      20000000        155.2 ns/op
 BenchmarkEngineInteractions/batch/n=100000-8    20000000        137.0 ns/op
 BenchmarkEngineInteractions/batch/n=1000000-8   20000000        118 ns/op
-BenchmarkEngineInteractions/batch/n=100000000/par=8-8   20000000   14.2 ns/op
+BenchmarkEngineInteractions/dense/n=100000000-8   20000000   14.2 ns/op
 BenchmarkFig2Convergence-8   12   90000000 ns/op   1371 paralleltime
 PASS
 `
@@ -29,45 +29,11 @@ PASS
 	if e.Backend != "batch" || e.N != 1000000 || e.NsPerOp != 118 || e.Iters != 20000000 {
 		t.Errorf("entry = %+v, want batch/n=1000000 118 ns/op", e)
 	}
-	if e.Par != 0 {
-		t.Errorf("bare row parsed par %d, want 0", e.Par)
-	}
-	if p := entries[3]; p.Backend != "batch" || p.N != 100000000 || p.Par != 8 || p.NsPerOp != 14.2 {
-		t.Errorf("par row = %+v, want batch/n=100000000/par=8 14.2 ns/op", p)
+	if p := entries[3]; p.Backend != "dense" || p.N != 100000000 || p.NsPerOp != 14.2 {
+		t.Errorf("entry = %+v, want dense/n=100000000 14.2 ns/op", p)
 	}
 	if last := entries[4]; last.Backend != "" || last.N != 0 {
 		t.Errorf("non-grid benchmark should have empty backend/n, got %+v", last)
-	}
-}
-
-// TestGateKeyParDimension: /par rows gate separately from the bare
-// default-configuration row, and the -procs suffix still cancels.
-func TestGateKeyParDimension(t *testing.T) {
-	bare := grid("batch", 100000, 80, "-8")
-	par1 := gridPar("batch", 100000, 1, 90, "-8")
-	par8 := gridPar("batch", 100000, 8, 30, "-4")
-	k0, _ := gateKey(bare)
-	k1, _ := gateKey(par1)
-	k8a, _ := gateKey(par8)
-	k8b, _ := gateKey(gridPar("batch", 100000, 8, 31, "-16"))
-	if k0 == k1 || k1 == k8a || k0 == k8a {
-		t.Errorf("par rows share a gate key: %q %q %q", k0, k1, k8a)
-	}
-	if k8a != k8b {
-		t.Errorf("-procs suffix split the gate key: %q vs %q", k8a, k8b)
-	}
-	if !strings.HasSuffix(k1, "/par=1") {
-		t.Errorf("par gate key = %q, want /par=1 suffix", k1)
-	}
-	// And a mixed compare gates each dimension independently.
-	baseline := []Entry{bare, par1, par8}
-	fresh := []Entry{bare, par1, gridPar("batch", 100000, 8, 45, "-8")} // par=8 row regressed 50%
-	report, regressions, err := compareEntries(baseline, fresh, 0.30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressions != 1 {
-		t.Errorf("regressions = %d, want 1 (the par=8 row):\n%s", regressions, strings.Join(report, "\n"))
 	}
 }
 
@@ -85,18 +51,6 @@ func grid(backend string, n int, ns float64, procs string) Entry {
 		Benchmark: fmt.Sprintf("BenchmarkEngineInteractions/%s/n=%d%s", backend, n, procs),
 		Backend:   backend,
 		N:         n,
-		Iters:     1000,
-		NsPerOp:   ns,
-	}
-}
-
-// gridPar is grid with a /par segment.
-func gridPar(backend string, n, par int, ns float64, procs string) Entry {
-	return Entry{
-		Benchmark: fmt.Sprintf("BenchmarkEngineInteractions/%s/n=%d/par=%d%s", backend, n, par, procs),
-		Backend:   backend,
-		N:         n,
-		Par:       par,
 		Iters:     1000,
 		NsPerOp:   ns,
 	}

@@ -11,13 +11,12 @@
 //
 // Usage:
 //
-//	popsim -protocol main -n 10000 -trials 5 -seed 1 [-paper] [-backend auto|seq|batch|dense] [-par N]
+//	popsim -protocol main -n 10000 -trials 5 -seed 1 [-paper] [-backend auto|seq|batch|dense]
 //
 // The dense backend makes very large populations practical (its state is
 // the count vector, never an agent array): -protocol weak -n 1000000000
-// runs in ordinary memory. -par additionally parallelizes each trial's
-// batch sampling across cores (deterministically: any -par >= 1 yields
-// the identical trajectory for a given seed). -stats prints each trial's
+// runs in ordinary memory. -par is accepted and ignored (every engine
+// samples serially). -stats prints each trial's
 // transition-resolution counters — how many pair transitions the
 // declared-table bypass, the deterministic-transition cache and actual
 // rule invocations resolved.
@@ -70,8 +69,8 @@ func (b *errBox) get() error {
 }
 
 // run is the command body, parameterized on its argument list and output
-// stream so the CLI tests can exercise flag parsing, backend/parallelism
-// selection and end-to-end trial output without spawning a process.
+// stream so the CLI tests can exercise flag parsing, backend selection
+// and end-to-end trial output without spawning a process.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("popsim", flag.ContinueOnError)
 	fs.SetOutput(stdout)
@@ -117,8 +116,7 @@ func run(args []string, stdout io.Writer) error {
 
 	var box errBox
 	r, err := info.New(protocol.Config{
-		N: *n, Trials: *trials, Paper: *paper,
-		Backend: backend, Par: sf.Par,
+		N: *n, Trials: *trials, Paper: *paper, Backend: backend,
 		CollectStats: *showStats, Traj: inst, OnError: box.set,
 	})
 	if err != nil {

@@ -99,7 +99,7 @@ func init() {
 			return &protocol.Runner{
 				N: cfg.N,
 				Run: func(tr int, seed uint64) sweep.Values {
-					k, err := popsize.WeakEstimateBackend(cfg.N, seed, cfg.Backend, pop.WithParallelism(cfg.Par))
+					k, err := popsize.WeakEstimateBackend(cfg.N, seed, cfg.Backend)
 					if err != nil {
 						cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 						return sweep.Values{"k": math.NaN()}
@@ -150,7 +150,7 @@ func newMainRunner(cfg protocol.Config) (*protocol.Runner, error) {
 			note = fmt.Sprintf("restoring from %s: backend=%s n=%d", t.RestorePath, snap.Backend, snap.N)
 		}
 	}
-	env := expt.Env{Backend: cfg.Backend, Par: cfg.Par, Traj: tc}
+	env := expt.Env{Backend: cfg.Backend, Traj: tc}
 	logN := math.Log2(float64(n))
 	trials := cfg.Trials
 	return &protocol.Runner{
@@ -161,7 +161,7 @@ func newMainRunner(cfg protocol.Config) (*protocol.Runner, error) {
 			if trials > 1 {
 				tag = fmt.Sprintf("t%d", tr)
 			}
-			r, err := env.RunCore(p, n, tag, core.RunOptions{Seed: seed, Backend: cfg.Backend, Parallelism: cfg.Par})
+			r, err := env.RunCore(p, n, tag, core.RunOptions{Seed: seed, Backend: cfg.Backend})
 			if err != nil {
 				cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 			}

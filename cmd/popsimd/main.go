@@ -33,7 +33,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -73,7 +72,7 @@ func run(argv []string) error {
 		return err
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: jobs.NewServer(m)}
+	srv := jobs.NewHTTPServer(*addr, m)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -155,11 +155,6 @@ type RunOptions struct {
 	// Backend selects the simulation engine (default pop.Auto: batched
 	// for large populations, sequential otherwise).
 	Backend pop.Backend
-	// Parallelism is the dense backend's intra-trial worker target
-	// (pop.WithParallelism): 0 = auto, >= 1 forces the deterministic
-	// divide-and-conquer sampling path, whose trajectory is identical for
-	// every worker count. The other backends ignore it.
-	Parallelism int
 	// MaxTime bounds the run in parallel time; 0 selects a generous
 	// default that scales as log² n.
 	MaxTime float64
@@ -184,7 +179,7 @@ type RunOptions struct {
 	// SnapshotSink); <= 0 requests an end-of-run snapshot.
 	SnapshotAt float64
 	// Restore, when non-nil, resumes the run from this snapshot instead
-	// of constructing a fresh engine; Seed, Backend and Parallelism are
+	// of constructing a fresh engine; Seed and Backend are
 	// ignored (they are part of the snapshot). The restored run gets a
 	// fresh MaxTime budget measured from the snapshot's time.
 	Restore *pop.Snapshot[State]
@@ -213,7 +208,7 @@ func (p *Protocol) Run(n int, o RunOptions) Result {
 		}
 		n = s.N()
 	} else {
-		opts := []pop.Option{pop.WithSeed(o.Seed), pop.WithBackend(o.Backend), pop.WithParallelism(o.Parallelism)}
+		opts := []pop.Option{pop.WithSeed(o.Seed), pop.WithBackend(o.Backend)}
 		if o.TrackStates {
 			opts = append(opts, pop.WithStateTracking())
 		}

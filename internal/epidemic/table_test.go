@@ -1,5 +1,5 @@
 // Golden byte-identity for the table-compiled epidemic: on every backend
-// (sequential, batched, dense — serial and forced-parallel) the compiled
+// (sequential, batched, dense) the compiled
 // table's rule must reproduce the handwritten Rule's trajectory byte for
 // byte under the same seed, with and without the declared-table bypass.
 package epidemic
@@ -46,14 +46,8 @@ func TestTableMatchesRuleByteIdentical(t *testing.T) {
 		"batch": func(rule pop.Rule[State], opts ...pop.Option) pop.Engine[State] {
 			return pop.NewBatch(n, init, rule, opts...)
 		},
-		"batch/par2": func(rule pop.Rule[State], opts ...pop.Option) pop.Engine[State] {
-			return pop.NewBatch(n, init, rule, append(opts, pop.WithParallelism(2))...)
-		},
 		"dense": func(rule pop.Rule[State], opts ...pop.Option) pop.Engine[State] {
 			return pop.NewDense(n, init, rule, opts...)
-		},
-		"dense/par2": func(rule pop.Rule[State], opts ...pop.Option) pop.Engine[State] {
-			return pop.NewDense(n, init, rule, append(opts, pop.WithParallelism(2))...)
 		},
 	}
 	for name, mk := range backends {

@@ -36,7 +36,7 @@ type Config struct {
 	// Slots bounds the shared worker pool (<= 0: GOMAXPROCS).
 	Slots int
 	// Resolve maps requests to sweep points. The resolver binds each
-	// request's engine environment (backend, par) into the returned trial
+	// request's engine environment (backend) into the returned trial
 	// closures, so jobs with different environments run concurrently —
 	// the Manager imposes no admission ordering beyond slot fairness.
 	Resolve Resolver
@@ -309,8 +309,8 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 		fail(err.Error())
 		return
 	}
-	// Stamp the spec from the env resolved at job construction — the same
-	// values the resolver bound into the trial closures — rather than
+	// Stamp the spec from the backend resolved at job construction — the
+	// same value the resolver bound into the trial closures — rather than
 	// re-parsing the request's backend string.
 	seed := j.req.Seed
 	if seed == 0 {
@@ -319,9 +319,8 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 	spec := sweep.Spec{
 		Points:   points,
 		BaseSeed: seed,
-		Backend:  j.env.backend,
+		Backend:  j.backend,
 		Workers:  j.req.Workers,
-		Par:      j.env.par,
 	}
 	// Every job may spawn up to the whole pool's worth of worker
 	// goroutines; actual concurrency is governed by slot acquisition, so

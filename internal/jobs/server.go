@@ -8,13 +8,15 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"time"
 
 	"github.com/popsim/popsize/internal/sweep"
 )
 
 // Server exposes the Manager over HTTP/JSON — the popsimd wire API:
 //
-//	POST   /v1/jobs               submit a sweep.SpecRequest; 201 + status
+//	POST   /v1/jobs               submit a sweep.SpecRequest (at most 1 MiB);
+//	                              201 + status, 413 when oversized
 //	GET    /v1/jobs               list job statuses, newest first
 //	GET    /v1/jobs/{id}          one job's status
 //	GET    /v1/jobs/{id}/records  stream JSONL records (x-ndjson); resumes
@@ -45,6 +47,31 @@ func NewServer(m *Manager) *Server {
 	return s
 }
 
+// Request and connection bounds of the popsimd listener.
+const (
+	// maxRequestBytes caps a POST /v1/jobs body. A SpecRequest is a few
+	// hundred bytes even with a long experiment list and size grid, so
+	// 1 MiB refuses only bodies no client means to send.
+	maxRequestBytes = 1 << 20
+	// readHeaderTimeout bounds how long a connection may take to send its
+	// request headers; idleTimeout closes keep-alive connections that sit
+	// unused. There is deliberately no write timeout: a records stream
+	// follows a job for as long as it runs.
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the popsimd listener for addr serving m, with the
+// header-read and idle bounds above and no write timeout.
+func NewHTTPServer(addr string, m *Manager) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           NewServer(m),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -67,9 +94,14 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	req, err := sweep.DecodeSpecRequest(r.Body)
+	req, err := sweep.DecodeSpecRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	j, err := s.m.Submit(req)

@@ -286,6 +286,71 @@ func TestAPIUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestAPIRequestBodyLimit: a submission body past maxRequestBytes is
+// refused with 413 in the service's error shape and enqueues nothing; a
+// body just under the limit still decodes.
+func TestAPIRequestBodyLimit(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), 1, 0)
+	defer m.Close()
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var apiErr struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, apiErr.Error
+	}
+	// Whitespace padding keeps the body valid JSON, so only its size can
+	// be at fault.
+	pad := func(size int) string {
+		const doc = `{"experiments":["fast"]}`
+		return doc[:len(doc)-1] + strings.Repeat(" ", size-len(doc)) + "}"
+	}
+	if code, msg := post(pad(maxRequestBytes + 1)); code != http.StatusRequestEntityTooLarge || msg == "" {
+		t.Fatalf("oversized body: %d %q, want 413 with an error message", code, msg)
+	}
+	// The limit holds past the first document too: a small request
+	// followed by more than a MiB of padding is still too large.
+	trailing := `{"experiments":["fast"]}` + strings.Repeat(" ", maxRequestBytes) + "{}"
+	if code, msg := post(trailing); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized trailing body: %d %q, want 413", code, msg)
+	}
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("oversized bodies enqueued %d jobs", n)
+	}
+	if code, msg := post(pad(maxRequestBytes)); code != http.StatusCreated {
+		t.Fatalf("body at the limit: %d %q, want 201", code, msg)
+	}
+}
+
+// TestHTTPServerBounds: the popsimd listener bounds header reads and idle
+// keep-alive connections but sets no write timeout, which would cut off
+// long-lived record streams.
+func TestHTTPServerBounds(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), 1, 0)
+	defer m.Close()
+	srv := NewHTTPServer("localhost:0", m)
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v: want both set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout %v: want none (record streams are long-lived)", srv.WriteTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("server has no handler")
+	}
+}
+
 // TestAPIStreamResume checks Last-Event-ID / ?after= resume semantics: the
 // stream replays only records past the named key, and an unknown id
 // replays from the start.
@@ -524,7 +589,7 @@ func TestHeterogeneousJobsOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Submit(sweep.SpecRequest{Experiments: []string{"slow"}, Ns: []int{4}, Trials: 40, Backend: "dense", Par: 2})
+	b, err := m.Submit(sweep.SpecRequest{Experiments: []string{"slow"}, Ns: []int{4}, Trials: 40, Backend: "dense"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,11 +613,8 @@ func TestHeterogeneousJobsOverlap(t *testing.T) {
 		t.Fatalf("status timestamps do not overlap: a=[%v,%v] b=[%v,%v]",
 			sa.Started, sa.Finished, sb.Started, sb.Finished)
 	}
-	if sa.Backend != "seq" || sa.Par != 0 {
-		t.Fatalf("seq job surfaces env %s/%d, want seq/0", sa.Backend, sa.Par)
-	}
-	if sb.Backend != "dense" || sb.Par != 2 {
-		t.Fatalf("dense job surfaces env %s/%d, want dense/2", sb.Backend, sb.Par)
+	if sa.Backend != "seq" || sb.Backend != "dense" {
+		t.Fatalf("jobs surface backends %s/%s, want seq/dense", sa.Backend, sb.Backend)
 	}
 }
 

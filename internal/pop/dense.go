@@ -57,7 +57,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync"
 )
 
 // DenseStats reports how a DenseSim run was executed; it is diagnostic
@@ -156,7 +155,6 @@ type DenseSim[S comparable] struct {
 	qMax           int // live-state delegation threshold
 	qMaxOverride   int // WithDenseThreshold value (0 = rescale qMax with n on churn)
 	batchThreshold int // forwarded to the delegated BatchSim (0 = default)
-	par            int // 0 = legacy serial samplers; >= 1 = node-seeded splitter path with this worker target
 
 	cache    []cacheSlot
 	cacheGen uint64
@@ -175,16 +173,10 @@ type DenseSim[S comparable] struct {
 
 	// Batch scratch: receiver counts and the participants' post-state
 	// multiset, both indexed by state id. post can grow during a batch as
-	// rule outputs intern new states. send, cum, rows and rowCum belong to
-	// the splitter path (par >= 1): the pre-drawn sender composition, the
-	// counts prefix sums, and the receiver-row index/prefix arrays.
-	tree   fenwick
-	recv   []int64
-	post   []int64
-	send   []int64
-	cum    []int64
-	rows   []int32
-	rowCum []int64
+	// rule outputs intern new states.
+	tree fenwick
+	recv []int64
+	post []int64
 
 	// test hooks (nil/false in production)
 	forceNoDelegate bool
@@ -205,7 +197,6 @@ func NewDense[S comparable](n int, initial func(i int, r *rand.Rand) S, rule Rul
 	d := newDenseShell[S](rule, o)
 	d.n = n
 	d.qMax = denseThresholdFor(o, n)
-	d.par = resolveParallelism(o.parallelism, n)
 	for i := 0; i < n; i++ {
 		d.addCount(d.intern(initial(i, d.rng)), 1)
 	}
@@ -233,7 +224,6 @@ func NewDenseFromCounts[S comparable](states []S, counts []int64, rule Rule[S], 
 	}
 	d.n = n
 	d.qMax = denseThresholdFor(o, n)
-	d.par = resolveParallelism(o.parallelism, n)
 	d.compact()
 	return d
 }
@@ -373,9 +363,6 @@ func (d *DenseSim[S]) RemoveAgents(k int) {
 	d.beginSegment()
 	if d.inner != nil {
 		d.inner.RemoveAgents(k)
-	} else if d.par >= 1 {
-		d.recv, d.cum = removeCountsSplit(effectiveWorkers(d.par), d.rng.Uint64(),
-			d.counts, d.total, int64(k), d.addCount, d.recv, d.cum)
 	} else {
 		removeCountsChain(d.rng, &d.tree, d.counts, d.total, int64(k), d.addCount)
 	}
@@ -610,9 +597,6 @@ func resizeZero(s []int64, n int) []int64 {
 // interaction, if one was sampled) of at most kmax interactions, and
 // returns how many interactions it executed.
 func (d *DenseSim[S]) runBatch(kmax int64) int64 {
-	if d.par >= 1 {
-		return d.runBatchSplit(kmax)
-	}
 	n := int64(d.n)
 	// Collision-free run length ℓ (see runLengthTable); a cap just ends
 	// the batch early with no collision interaction.
@@ -659,326 +643,9 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 	return done
 }
 
-// runBatchSplit is runBatch on the node-seeded splitter path (par >= 1):
-// the same pair-matrix law, with every draw below the batch's one seed
-// word derived from (seed, node path), so the trajectory is byte-identical
-// for any worker count. Instead of drawing each row's partners from the
-// shared remaining pool (a chain across rows), it pre-draws the sender
-// block as a second composition sample — jointly identical by
-// exchangeability, as pairAndApply's comment already exploits — and then
-// distributes that multiset over the receiver rows by recursive
-// hypergeometric splits of the row range, each subtree independent under
-// its node stream. Cached (deterministic) cells apply concurrently;
-// cells whose transition is uncached or consumes randomness defer to a
-// serial pass in (row, sender) order.
-func (d *DenseSim[S]) runBatchSplit(kmax int64) int64 {
-	n := int64(d.n)
-	maxPairs := min(int64(denseMaxPairs), kmax, n/3+1)
-	ell, collided := d.runLen.collisionFreeRun(d.rng, n, maxPairs)
-	if ell == 0 {
-		// Only possible when a cap degenerated; fall back to one exact step.
-		d.Step()
-		return 1
-	}
-	batchSeed := d.rng.Uint64()
-	workers := effectiveWorkers(d.par)
-
-	q := len(d.counts)
-	d.recv = resizeZero(d.recv, q)
-	d.send = resizeZero(d.send, q)
-	d.post = resizeZero(d.post, q)
-
-	// Receiver composition, then sender composition from the remainder.
-	for pass, dst := range [2][]int64{d.recv, d.send} {
-		d.cum = prefixSums(d.cum, d.counts)
-		var g *parGroup
-		if workers > 1 && ell >= 2*parMinForkItems {
-			g = newParGroup(workers)
-		}
-		mvhSplitComp(g, deriveSeed(batchSeed, uint64(pass+1)), 1, d.counts, d.cum, 0, q, d.total, ell, dst)
-		g.wait()
-		for id, k := range dst {
-			if k > 0 {
-				d.addCount(int32(id), -k)
-			}
-		}
-	}
-
-	// Pairing: distribute the sender multiset over the receiver rows.
-	d.pairRowsSplit(workers, deriveSeed(batchSeed, 3), ell)
-
-	done := ell
-	if collided {
-		d.collisionStep(2 * ell)
-		done++
-	}
-
-	// Commit participants' post states.
-	for id, c := range d.post {
-		if c > 0 {
-			d.addCount(int32(id), c)
-		}
-	}
-	d.interactsBase += done
-	d.stats.Batches++
-	d.stats.BatchedInteractions += done
-	if d.total != n {
-		panic(fmt.Sprintf("pop: DenseSim conservation violated: %d agents after batch, want %d", d.total, n))
-	}
-	if d.batchEvents != nil {
-		d.batchEvents(int(ell), collided)
-	}
-	return done
-}
-
-// denseMiss is one deferred pair-matrix cell: a transition that was not
-// in the cache during the parallel pass, applied later in canonical
-// (row, sender) order so rule randomness stays deterministic.
-type denseMiss struct {
-	row  int32 // index into the batch's row list (not a state id)
-	a, b int32 // receiver and sender state ids
-	mult int64
-}
-
-// pairRowsSplit realizes the receiver↔sender matching as recursive
-// hypergeometric splits: a node holding a contiguous row range and its
-// sender multiset S splits the range in half, draws the left half's share
-// of S (one chain with the node's stream), and recurses — forked to
-// another worker when both halves carry enough receivers. Once a node's
-// receiver mass drops to splitLeafMass it stops splitting and runs the
-// legacy-style sequential multi-row chain (heavy cells by hypergeometric,
-// light tails by suffix-restricted descents) under its own stream, so the
-// splitter's total per-item work stays within one shallow tree of the
-// serial chain's. Cached cells accumulate into the post multiset (merged
-// once per leaf under a mutex); uncached cells are deferred.
-func (d *DenseSim[S]) pairRowsSplit(workers int, seed uint64, ell int64) {
-	d.rows = d.rows[:0]
-	d.rowCum = append(d.rowCum[:0], 0)
-	sum := int64(0)
-	for id, k := range d.recv {
-		if k > 0 {
-			d.rows = append(d.rows, int32(id))
-			sum += k
-			d.rowCum = append(d.rowCum, sum)
-		}
-	}
-	if sum != ell {
-		panic("pop: DenseSim receiver rows lost mass")
-	}
-	var (
-		mu     sync.Mutex
-		misses []denseMiss
-	)
-	var g *parGroup
-	if workers > 1 && ell >= 2*parMinForkItems {
-		g = newParGroup(workers)
-	}
-	d.pairRowsNode(g, &mu, &misses, seed, 1, 0, len(d.rows), d.send, ell, nil)
-	g.wait()
-	// Canonical order regardless of which worker recorded which miss,
-	// then coalesce entries of the same cell (a row's random tail can
-	// emit one cell in several pieces): applyCell runs exactly once per
-	// distinct (row, sender) cell, so the rule stream's consumption —
-	// and even the hit/call statistics — are order-independent.
-	sort.Slice(misses, func(i, j int) bool {
-		if misses[i].row != misses[j].row {
-			return misses[i].row < misses[j].row
-		}
-		return misses[i].b < misses[j].b
-	})
-	w := 0
-	for _, ms := range misses {
-		if w > 0 && misses[w-1].row == ms.row && misses[w-1].b == ms.b {
-			misses[w-1].mult += ms.mult
-			continue
-		}
-		misses[w] = ms
-		w++
-	}
-	for _, ms := range misses[:w] {
-		d.stats.PairCells++
-		d.applyCell(ms.a, ms.b, ms.mult)
-	}
-}
-
-// pairRowsNode is one splitter node of pairRowsSplit, covering rows
-// [rlo, rhi) whose receivers total R and whose sender multiset is snd
-// (owned by the node; Σ snd = R). owned, when non-nil, is snd's
-// int64Pool pointer: this node's subtree is the buffer's last reader and
-// returns it to the pool on the way out (the root's snd is the
-// engine-owned d.send, which passes nil).
-func (d *DenseSim[S]) pairRowsNode(g *parGroup, mu *sync.Mutex, misses *[]denseMiss, seed, path uint64, rlo, rhi int, snd []int64, R int64, owned *[]int64) {
-	for {
-		if R == 0 || rhi <= rlo {
-			break
-		}
-		if rhi-rlo == 1 || R <= splitLeafMass {
-			d.pairRowsLeaf(mu, misses, nodeRand(seed, path), rlo, rhi, snd, R)
-			break
-		}
-		rmid := (rlo + rhi) / 2
-		RL := d.rowCum[rmid] - d.rowCum[rlo]
-		RR := R - RL
-		sndLP, sndL := getInts(len(snd))
-		if RL > 0 {
-			r := nodeRand(seed, path)
-			rem := R
-			left := RL
-			for b, c := range snd {
-				if left == 0 {
-					break
-				}
-				if c == 0 {
-					continue
-				}
-				if lightDraw(c, left, batchHeavyMean, rem) && left < 2*int64(len(snd)-b) {
-					chainTail(r, snd, b, len(snd), rem, left,
-						func(j int, k int64) { sndL[j] += k; snd[j] -= k })
-					left = 0
-					break
-				}
-				var k int64
-				if rem == left {
-					k = c
-				} else {
-					k = hypergeometric(r, rem, c, left)
-				}
-				rem -= c
-				left -= k
-				sndL[b] = k
-				snd[b] = c - k
-			}
-			if left != 0 {
-				panic("pop: DenseSim row splitter under-filled")
-			}
-		}
-		lPath, rPath := 2*path, 2*path+1
-		if g != nil && min(RL, RR) >= parMinForkItems {
-			sndR, rR, rHi, ownedR := snd, RR, rhi, owned
-			g.fork(func() { d.pairRowsNode(g, mu, misses, seed, rPath, rmid, rHi, sndR, rR, ownedR) })
-			rhi, snd, R, path, owned = rmid, sndL, RL, lPath, sndLP
-			continue
-		}
-		d.pairRowsNode(g, mu, misses, seed, lPath, rlo, rmid, sndL, RL, sndLP)
-		rlo, R, path = rmid, RR, rPath
-	}
-	if owned != nil {
-		int64Pool.Put(owned)
-	}
-}
-
-// pairRowsLeaf distributes the leaf's sender multiset snd (Σ snd = R)
-// over rows [rlo, rhi) sequentially, mirroring the legacy pairAndApply
-// chain: per row, heavy cells draw one hypergeometric each and the light
-// tail costs one Fenwick descent per partner restricted to the chain's
-// remaining suffix. All randomness comes from the leaf's node stream r.
-// Cached cells accumulate into a leaf-local post vector (merged once
-// under mu); uncached cells join the deferred miss list.
-func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.Rand, rlo, rhi int, snd []int64, R int64) {
-	tree := fenwickPool.Get().(*fenwick)
-	tree.reset(snd)
-	localPostP, localPost := getInts(len(d.post))
-	var localMisses []denseMiss
-	var hitCells, hits, tblHits int64
-	emit := func(row int, a, b int32, k int64) {
-		if t := d.tbl; t != nil {
-			// Declared-table bypass, restricted to already-interned
-			// outputs (read-only; see tableView.probeRO).
-			if oa, ob, ok := t.probeRO(a, b); ok {
-				hitCells++
-				tblHits += k
-				localPost[oa] += k
-				localPost[ob] += k
-				return
-			}
-		}
-		if oa, ob, ok := d.cacheLookup(a, b); ok {
-			hitCells++
-			hits += k
-			localPost[oa] += k
-			localPost[ob] += k
-			return
-		}
-		// Misses count toward PairCells when applied (pairRowsSplit's
-		// serial pass). Coalesce per-item tail draws of the same cell —
-		// the tail emits them one partner at a time.
-		if n := len(localMisses); n > 0 {
-			if last := &localMisses[n-1]; last.row == int32(row) && last.b == b {
-				last.mult += k
-				return
-			}
-		}
-		localMisses = append(localMisses, denseMiss{row: int32(row), a: a, b: b, mult: k})
-	}
-	for ri := rlo; ri < rhi && R > 0; ri++ {
-		a := d.rows[ri]
-		ra := d.rowCum[ri+1] - d.rowCum[ri]
-		remPop := R
-		for bs := 0; bs < len(snd) && ra > 0; bs++ {
-			c := snd[bs]
-			if c == 0 {
-				continue
-			}
-			if lightDraw(c, ra, denseHeavyCell, remPop) && ra < 2*int64(len(snd)-bs) {
-				break
-			}
-			var k int64
-			if remPop == ra {
-				k = c
-			} else {
-				k = hypergeometric(r, remPop, c, ra)
-			}
-			remPop -= c
-			ra -= k
-			if k > 0 {
-				snd[bs] -= k
-				tree.add(bs, -k)
-				R -= k
-				emit(ri, a, int32(bs), k)
-			}
-		}
-		// Suffix-restricted tail: the chain above fixed this row's
-		// allocation to the states it walked, so the rest of the row
-		// draws from the remaining suffix — offsetting the descent past
-		// the prefix weight (R − remPop) restricts the tree to it.
-		prefix := R - remPop
-		for ; ra > 0; ra-- {
-			bs := int32(tree.findAndDec(prefix + r.Int64N(remPop)))
-			remPop--
-			snd[bs]--
-			R--
-			emit(ri, a, bs, 1)
-		}
-	}
-	fenwickPool.Put(tree)
-	mu.Lock()
-	d.stats.PairCells += hitCells
-	d.stats.CacheHits += hits
-	d.stats.TableHits += tblHits
-	// Element writes, not addPost: interning is deferred to the serial
-	// miss pass, so d.post cannot grow here, and addPost's header
-	// reassignment would race with other leaves' len(d.post) reads.
-	for id, c := range localPost {
-		if c > 0 {
-			d.post[id] += c
-		}
-	}
-	*misses = append(*misses, localMisses...)
-	mu.Unlock()
-	int64Pool.Put(localPostP)
-}
-
-// cacheLookup is the read-only half of applyCell: it reports the cached
-// deterministic outputs of the ordered pair, if present. Safe for
-// concurrent use while no writer runs (the split path's parallel pass).
-func (d *DenseSim[S]) cacheLookup(ida, idb int32) (oa, ob int32, ok bool) {
-	return cacheProbe(d.cache, denseCacheBits, d.cacheGen, ida, idb)
-}
-
 // cacheProbe is the read-only transition-cache lookup: it reports the
 // cached deterministic outputs of the ordered id pair under the given
-// generation, with BatchSim's key layout (see cacheSlot). Safe for
-// concurrent use while no writer runs.
+// generation, with BatchSim's key layout (see cacheSlot).
 func cacheProbe(cache []cacheSlot, bits uint, gen uint64, ida, idb int32) (oa, ob int32, ok bool) {
 	if ida >= cacheMaxID || idb >= cacheMaxID {
 		return 0, 0, false
@@ -1189,7 +856,7 @@ func (d *DenseSim[S]) applyCell(ida, idb int32, mult int64) {
 			return
 		}
 	}
-	if oa, ob, ok := d.cacheLookup(ida, idb); ok {
+	if oa, ob, ok := cacheProbe(d.cache, denseCacheBits, d.cacheGen, ida, idb); ok {
 		d.stats.CacheHits += mult
 		d.addPost(oa, mult)
 		d.addPost(ob, mult)

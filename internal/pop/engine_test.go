@@ -1,6 +1,7 @@
 package pop
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"sync/atomic"
@@ -124,5 +125,63 @@ func TestRunTrials(t *testing.T) {
 	}
 	if p := peak.Load(); p > 4 {
 		t.Errorf("concurrency peaked at %d, cap was 4", p)
+	}
+}
+
+// TestParallelismIsNoOp: WithParallelism is accepted and ignored. At
+// n = 2²⁴, where auto used to switch the dense engine to an intra-trial
+// splitter sampler, every backend runs byte-identically with any value of
+// the option and without it.
+func TestParallelismIsNoOp(t *testing.T) {
+	const n = 1 << 24
+	states := []int8{1, -1, 0}
+	counts := []int64{n/2 + n/20, n/2 - n/20 - 1000, 1000}
+	// Approximate majority on int8 states, so the sequential engine's
+	// agent array stays at 16 MB.
+	rule := func(rec, sen int8, _ *rand.Rand) (int8, int8) {
+		switch {
+		case rec == 1 && sen == -1, rec == -1 && sen == 1:
+			return 0, sen
+		case rec == 0 && sen != 0:
+			return sen, sen
+		}
+		return rec, sen
+	}
+	// fingerprint pins the engine's full state: the snapshot of a
+	// multiset engine, the rng state and configuration of the sequential
+	// one (whose snapshot would spell out all n agents).
+	fingerprint := func(e Engine[int8]) string {
+		if s, ok := e.(*Sim[int8]); ok {
+			rng, err := s.pcg.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := s.Counts()
+			return fmt.Sprint(s.Interactions(), rng, c[1], c[-1], c[0])
+		}
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := snap.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, bk := range []Backend{Auto, Sequential, Batched, Dense} {
+		t.Run(bk.String(), func(t *testing.T) {
+			run := func(extra ...Option) string {
+				e := NewEngineFromCounts(states, counts, rule, append([]Option{WithSeed(3), WithBackend(bk)}, extra...)...)
+				e.Run(1 << 18)
+				return fingerprint(e)
+			}
+			want := run()
+			for _, par := range []int{0, 1, 8} {
+				if got := run(WithParallelism(par)); got != want {
+					t.Errorf("WithParallelism(%d) changed the trajectory", par)
+				}
+			}
+		})
 	}
 }

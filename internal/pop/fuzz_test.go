@@ -105,35 +105,18 @@ func FuzzMultivariateHypergeometric(f *testing.F) {
 			return
 		}
 		m := int64(mRaw % uint64(total+1))
-		check := func(what string, dst []int64) {
-			t.Helper()
-			var sum int64
-			for i, k := range dst {
-				if k < 0 || k > counts[i] {
-					t.Fatalf("%s: class %d drew %d of %d (counts=%v m=%d)", what, i, k, counts[i], counts, m)
-				}
-				sum += k
-			}
-			if sum != m {
-				t.Fatalf("%s: allocated %d of m=%d (counts=%v)", what, sum, m, counts)
-			}
-		}
 		r := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 		dst := make([]int64, len(counts))
 		multivariateHypergeometric(r, counts, total, m, dst)
-		check("chain", dst)
-		// The splitter must satisfy the identical invariants for the same
-		// shapes — and be a pure function of its seed.
-		split := make([]int64, len(counts))
-		cum := prefixSums(nil, counts)
-		mvhSplitComp(nil, seed, 1, counts, cum, 0, len(counts), total, m, split)
-		check("splitter", split)
-		again := make([]int64, len(counts))
-		mvhSplitComp(nil, seed, 1, counts, cum, 0, len(counts), total, m, again)
-		for i := range split {
-			if split[i] != again[i] {
-				t.Fatalf("splitter not deterministic at class %d: %d vs %d", i, split[i], again[i])
+		var sum int64
+		for i, k := range dst {
+			if k < 0 || k > counts[i] {
+				t.Fatalf("class %d drew %d of %d (counts=%v m=%d)", i, k, counts[i], counts, m)
 			}
+			sum += k
+		}
+		if sum != m {
+			t.Fatalf("allocated %d of m=%d (counts=%v)", sum, m, counts)
 		}
 	})
 }
@@ -217,7 +200,7 @@ func FuzzRemoveCountsChain(f *testing.F) {
 	f.Add(uint64(3), []byte{0, 7}, uint64(7))
 	// Billions-scale removal across ×10⁹ classes: wraps the raw c·k
 	// products in the heavy/light split and forces rejection-sampler
-	// draws at large stddev in both the chain and the splitter.
+	// draws at large stddev.
 	f.Add(uint64(4), []byte{0, 100, 5, 200, 1, 0, 0, 255}, uint64(2e9))
 	f.Fuzz(func(t *testing.T, seed uint64, raw []byte, kRaw uint64) {
 		counts, total := fuzzCounts(raw)
@@ -225,37 +208,28 @@ func FuzzRemoveCountsChain(f *testing.F) {
 			return
 		}
 		k := int64(kRaw % uint64(total+1))
-		run := func(what string, remove func(cs []int64, debit func(id int32, d int64))) {
-			t.Helper()
-			cs := append([]int64(nil), counts...)
-			left := total
-			var removed int64
-			debit := func(id int32, d int64) {
-				if int(id) < 0 || int(id) >= len(cs) {
-					t.Fatalf("%s: debit of out-of-range id %d", what, id)
-				}
-				if d >= 0 {
-					t.Fatalf("%s: non-negative debit %d", what, d)
-				}
-				cs[id] += d
-				if cs[id] < 0 {
-					t.Fatalf("%s: class %d went negative (counts=%v k=%d)", what, id, counts, k)
-				}
-				left += d
-				removed -= d
+		cs := append([]int64(nil), counts...)
+		left := total
+		var removed int64
+		debit := func(id int32, d int64) {
+			if int(id) < 0 || int(id) >= len(cs) {
+				t.Fatalf("debit of out-of-range id %d", id)
 			}
-			remove(cs, debit)
-			if removed != k || left != total-k {
-				t.Fatalf("%s: removed %d of k=%d (left %d of %d)", what, removed, k, left, total)
+			if d >= 0 {
+				t.Fatalf("non-negative debit %d", d)
 			}
+			cs[id] += d
+			if cs[id] < 0 {
+				t.Fatalf("class %d went negative (counts=%v k=%d)", id, counts, k)
+			}
+			left += d
+			removed -= d
 		}
-		run("chain", func(cs []int64, debit func(id int32, d int64)) {
-			rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-			var tree fenwick
-			removeCountsChain(rng, &tree, cs, total, k, debit)
-		})
-		run("splitter", func(cs []int64, debit func(id int32, d int64)) {
-			removeCountsSplit(1, seed, cs, total, k, debit, nil, nil)
-		})
+		rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+		var tree fenwick
+		removeCountsChain(rng, &tree, cs, total, k, debit)
+		if removed != k || left != total-k {
+			t.Fatalf("removed %d of k=%d (left %d of %d)", removed, k, left, total)
+		}
 	})
 }

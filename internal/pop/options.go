@@ -7,23 +7,11 @@ type options struct {
 	backend           Backend
 	batchThreshold    int
 	denseThreshold    int
-	parallelism       int
 	table             any // *Compiled[S]; resolved by attachTable
 }
 
 // Option configures a simulation engine at construction time.
 type Option func(*options)
-
-// Combine merges several options into one, for callers that thread a
-// single configuration value through option-typed plumbing (e.g. the
-// experiment harness's shared backend + parallelism selection).
-func Combine(opts ...Option) Option {
-	return func(o *options) {
-		for _, opt := range opts {
-			opt(o)
-		}
-	}
-}
 
 // WithSeed makes the simulation deterministic: the same seed, population
 // size, initializer, rule and backend produce the identical execution.
@@ -59,20 +47,13 @@ func WithBackend(b Backend) Option {
 	return func(o *options) { o.backend = b }
 }
 
-// WithParallelism sets the dense engine's intra-trial worker target.
-// p = 0 (the default) is automatic: populations of at least parAutoMinN
-// agents use the node-seeded divide-and-conquer sampling path with a
-// GOMAXPROCS worker target, smaller ones keep the legacy serial samplers.
-// p >= 1 forces the divide-and-conquer path with up to p workers at any
-// size. Every p >= 1 produces the byte-identical trajectory for a given
-// seed — worker count changes only the execution schedule, never a random
-// draw (see parallel.go) — and the effective worker count is additionally
-// capped so RunTrials-level and intra-trial parallelism never
-// oversubscribe GOMAXPROCS. The batched and sequential engines ignore the
-// option (the batched engine always samples serially, including while a
-// dense engine delegates to it). Negative values are treated as 0.
-func WithParallelism(p int) Option {
-	return func(o *options) { o.parallelism = max(p, 0) }
+// WithParallelism is accepted and ignored: every engine samples on one
+// serial path, so a run's trajectory depends only on its seed, backend and
+// rule. It remains for callers written when the dense engine had an
+// intra-trial splitter (removed because the serial path was faster at
+// every size measured; DESIGN.md §1.1 has the table).
+func WithParallelism(int) Option {
+	return func(*options) {}
 }
 
 // WithBatchThreshold overrides the batched engine's live-state fallback

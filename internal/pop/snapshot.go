@@ -5,12 +5,11 @@
 // counts), the interaction count, the per-segment parallel-time
 // accounting, the rng stream state (rand.PCG's binary form — one PCG
 // underlies both the engine's own draws and the rule stream, so a single
-// blob covers both), DenseSim's parallelism class, and the engine's mode
-// (BatchSim's sequential fallback, DenseSim's delegation, each with its
-// re-check budget). Restore rebuilds an engine from a snapshot such that
-// restore-then-run is byte-identical to the uninterrupted run, for every
-// backend and parallelism class, including snapshots taken mid-fallback
-// and mid-delegation.
+// blob covers both), and the engine's mode (BatchSim's sequential
+// fallback, DenseSim's delegation, each with its re-check budget). Restore
+// rebuilds an engine from a snapshot such that restore-then-run is
+// byte-identical to the uninterrupted run, for every backend, including
+// snapshots taken mid-fallback and mid-delegation.
 //
 // # What is deliberately NOT captured
 //
@@ -35,7 +34,7 @@
 // JSON-marshalable, which every protocol state in this repository is) and
 // carry a format version. UnmarshalSnapshot and Restore reject unknown
 // versions and malformed shapes; within a version, a snapshot is portable
-// across machines but pins the backend, the parallelism class, and —
+// across machines but pins the backend and —
 // implicitly, through the rng stream — the exact rule. Restoring with a
 // different rule is undetectable and yields a well-formed but meaningless
 // run, so callers must pair snapshots with the protocol that produced
@@ -57,7 +56,11 @@ import (
 // BatchSim's splitter path: batch snapshots (including a dense
 // snapshot's Inner) no longer carry a parallelism class, and dense
 // snapshots no longer carry the raw option their delegations resolved.
-const SnapshotVersion = 2
+// Version 3 dropped DenseSim's splitter path and with it the dense
+// parallelism class: a version-2 dense snapshot taken on the splitter
+// path would resume on a different sampler, so version 2 is refused
+// outright rather than resumed on a silently different trajectory.
+const SnapshotVersion = 3
 
 // Snapshot is the versioned, serializable full state of a simulation
 // engine. Fields beyond the common header apply only to the backends
@@ -82,12 +85,6 @@ type Snapshot[S comparable] struct {
 	// RNG is the rand.PCG stream state (MarshalBinary form). The multiset
 	// engines' rule stream shares the same PCG, so one blob restores both.
 	RNG []byte `json:"rng"`
-	// Par is DenseSim's resolved parallelism class: 0 = legacy serial
-	// samplers, >= 1 = node-seeded splitter path. It is restored verbatim
-	// — the two classes consume the random stream differently, so the
-	// class is part of the trajectory, not a tuning knob. BatchSim has
-	// one sampler path, so batch snapshots always carry 0.
-	Par int `json:"par,omitempty"`
 
 	// Agents is the explicit agent array: the sequential engine's
 	// configuration, and the batched engine's while in its sequential
@@ -202,33 +199,24 @@ func (s *Snapshot[S]) validate() error {
 			return fmt.Errorf("pop: sequential snapshot tracks states but carries none")
 		}
 	case Batched.String():
+		if s.SeqRecheck < 0 {
+			return fmt.Errorf("pop: batch snapshot has negative fallback re-check budget %d", s.SeqRecheck)
+		}
 		if s.SeqMode {
 			if len(s.Agents) != s.N {
 				return fmt.Errorf("pop: batch snapshot in sequential fallback has %d agents for n=%d",
 					len(s.Agents), s.N)
 			}
-		} else {
-			if len(s.Counts) != len(s.States) {
-				return fmt.Errorf("pop: batch snapshot has %d counts for %d states", len(s.Counts), len(s.States))
-			}
-			var total int64
-			for i, c := range s.Counts {
-				if c < 0 {
-					return fmt.Errorf("pop: batch snapshot count %d of state %v is negative", c, s.States[i])
-				}
-				total += c
-			}
-			if total != int64(s.N) {
-				return fmt.Errorf("pop: batch snapshot counts total %d for n=%d", total, s.N)
-			}
+		} else if err := s.validateCounts(); err != nil {
+			return err
 		}
 		if s.QMax <= 0 {
 			return fmt.Errorf("pop: batch snapshot has no live-state threshold")
 		}
-		if s.Par != 0 {
-			return fmt.Errorf("pop: batch snapshot has parallelism class %d; the batched engine has only the serial sampler (class 0)", s.Par)
-		}
 	case Dense.String():
+		if s.InnerRecheck < 0 {
+			return fmt.Errorf("pop: dense snapshot has negative delegation re-check budget %d", s.InnerRecheck)
+		}
 		if s.Inner != nil {
 			if s.Inner.Backend != Batched.String() {
 				return fmt.Errorf("pop: dense snapshot delegates to backend %q, want %q",
@@ -240,20 +228,8 @@ func (s *Snapshot[S]) validate() error {
 			if s.Inner.N != s.N {
 				return fmt.Errorf("pop: dense snapshot has n=%d but its inner engine n=%d", s.N, s.Inner.N)
 			}
-		} else {
-			if len(s.Counts) != len(s.States) {
-				return fmt.Errorf("pop: dense snapshot has %d counts for %d states", len(s.Counts), len(s.States))
-			}
-			var total int64
-			for i, c := range s.Counts {
-				if c < 0 {
-					return fmt.Errorf("pop: dense snapshot count %d of state %v is negative", c, s.States[i])
-				}
-				total += c
-			}
-			if total != int64(s.N) {
-				return fmt.Errorf("pop: dense snapshot counts total %d for n=%d", total, s.N)
-			}
+		} else if err := s.validateCounts(); err != nil {
+			return err
 		}
 		if s.QMax <= 0 {
 			return fmt.Errorf("pop: dense snapshot has no live-state threshold")
@@ -261,6 +237,30 @@ func (s *Snapshot[S]) validate() error {
 	default:
 		return fmt.Errorf("pop: snapshot backend %q is unknown (want %q, %q or %q)",
 			s.Backend, Sequential, Batched, Dense)
+	}
+	return nil
+}
+
+// validateCounts checks a multiset snapshot's interning tables: one
+// non-negative count per state, summing to exactly N. The running total is
+// bounded by N before each addition, so counts that wrap int64 cannot sum
+// back to N.
+func (s *Snapshot[S]) validateCounts() error {
+	if len(s.Counts) != len(s.States) {
+		return fmt.Errorf("pop: %s snapshot has %d counts for %d states", s.Backend, len(s.Counts), len(s.States))
+	}
+	var total int64
+	for i, c := range s.Counts {
+		if c < 0 {
+			return fmt.Errorf("pop: %s snapshot count %d of state %v is negative", s.Backend, c, s.States[i])
+		}
+		if c > int64(s.N)-total {
+			return fmt.Errorf("pop: %s snapshot counts total more than n=%d", s.Backend, s.N)
+		}
+		total += c
+	}
+	if total != int64(s.N) {
+		return fmt.Errorf("pop: %s snapshot counts total %d for n=%d", s.Backend, total, s.N)
 	}
 	return nil
 }
@@ -374,7 +374,6 @@ func (d *DenseSim[S]) Snapshot() (*Snapshot[S], error) {
 		TimeBase:       d.timeBase,
 		SegStart:       d.segStart,
 		RNG:            rng,
-		Par:            d.par,
 		Distinct:       d.distinct,
 		QMax:           d.qMax,
 		QMaxOverride:   d.qMaxOverride,
@@ -399,10 +398,12 @@ func (d *DenseSim[S]) Snapshot() (*Snapshot[S], error) {
 // execution: running the restored engine produces the byte-identical
 // trajectory (and byte-identical future snapshots) the snapshotted engine
 // would have produced. The rule must be the one the original engine ran;
-// backend, parallelism class and thresholds come from the snapshot, not
-// from options — of the options only WithTable is honored (reattaching a
-// compiled table is trajectory-neutral, see table.go, so a run may gain
-// or lose the bypass across a snapshot boundary without diverging).
+// backend and thresholds come from the snapshot, not from options — of
+// the options only WithTable is honored (reattaching a compiled table is
+// trajectory-neutral, see table.go, so a run may gain or lose the bypass
+// across a snapshot boundary without diverging). Only SnapshotVersion
+// snapshots are accepted; any malformed snapshot yields an error, and an
+// accepted one yields an engine whose Run(k) runs exactly k interactions.
 func Restore[S comparable](snap *Snapshot[S], rule Rule[S], opts ...Option) (Engine[S], error) {
 	if rule == nil {
 		panic("pop: nil rule")
@@ -541,7 +542,6 @@ func restoreDense[S comparable](snap *Snapshot[S], rule Rule[S], o options) (*De
 		qMax:           snap.QMax,
 		qMaxOverride:   snap.QMaxOverride,
 		batchThreshold: snap.BatchThreshold,
-		par:            snap.Par,
 		tbl:            attachTable[S](o),
 	}
 	d.cache = make([]cacheSlot, 1<<denseCacheBits)

@@ -81,24 +81,20 @@ func roundTrip(t *testing.T, mk func() Engine[int], rule Rule[int], pre, post []
 }
 
 // TestSnapshotRoundTripBackends asserts byte-identical restore-then-run
-// across every backend and both parallelism classes, on a rule mixing
-// cached deterministic and uncacheable randomized transitions.
+// across every backend, on a rule mixing cached deterministic and
+// uncacheable randomized transitions.
 func TestSnapshotRoundTripBackends(t *testing.T) {
 	const n = 3000
 	init := func(i int, _ *rand.Rand) int { return i % 5 }
 	pre := []snapOp{opRun(4 * n), opRunTime(0.7)}
 	post := []snapOp{opRun(3 * n), opRunTime(1.3), opRun(517)}
-	for _, par := range []int{0, 2} {
-		for _, bk := range []Backend{Sequential, Batched, Dense} {
-			bk := bk
-			mk := func() Engine[int] {
-				return NewEngine(n, init, mixedRule,
-					WithSeed(41), WithBackend(bk), WithParallelism(par))
-			}
-			t.Run(bk.String()+"/par="+map[int]string{0: "0", 2: "2"}[par], func(t *testing.T) {
-				roundTrip(t, mk, mixedRule, pre, post)
-			})
+	for _, bk := range []Backend{Sequential, Batched, Dense} {
+		mk := func() Engine[int] {
+			return NewEngine(n, init, mixedRule, WithSeed(41), WithBackend(bk))
 		}
+		t.Run(bk.String(), func(t *testing.T) {
+			roundTrip(t, mk, mixedRule, pre, post)
+		})
 	}
 }
 
@@ -125,7 +121,7 @@ func TestSnapshotRoundTripChurn(t *testing.T) {
 	for _, bk := range []Backend{Sequential, Batched, Dense} {
 		bk := bk
 		mk := func() Engine[int] {
-			return NewEngine(n, init, mixedRule, WithSeed(77), WithBackend(bk), WithParallelism(2))
+			return NewEngine(n, init, mixedRule, WithSeed(77), WithBackend(bk))
 		}
 		t.Run(bk.String(), func(t *testing.T) {
 			roundTrip(t, mk, mixedRule, pre, post)
@@ -214,13 +210,27 @@ func TestSnapshotValidation(t *testing.T) {
 		// Version 1 carried BatchSim's splitter class; its snapshots are
 		// refused rather than silently resumed on the serial sampler.
 		{"version-1", func(s *Snapshot[int]) { s.Version = 1 }, "version"},
-		{"batch-par", func(s *Snapshot[int]) { s.Par = 2 }, "parallelism class"},
-		{"dense-inner-par", func(s *Snapshot[int]) {
+		// Version 2 carried DenseSim's splitter class; likewise refused.
+		{"version-2", func(s *Snapshot[int]) { s.Version = 2 }, "version"},
+		// A negative re-check budget would make Run(k) execute more than
+		// k interactions: the fallback and delegation loops subtract the
+		// (negative) run from k.
+		{"batch-seq-recheck", func(s *Snapshot[int]) {
+			s.SeqMode, s.SeqRecheck = true, -1000
+			s.Agents = make([]int, s.N)
+		}, "re-check"},
+		{"dense-inner-recheck", func(s *Snapshot[int]) {
 			inner := *s
-			inner.Par = 1
 			*s = Snapshot[int]{Version: s.Version, Backend: Dense.String(), N: s.N,
-				RNG: s.RNG, QMax: 8, Inner: &inner}
-		}, "parallelism class"},
+				RNG: s.RNG, QMax: 8, Inner: &inner, InnerRecheck: -1000}
+		}, "re-check"},
+		{"dense-inner-seq-recheck", func(s *Snapshot[int]) {
+			inner := *s
+			inner.SeqMode, inner.SeqRecheck = true, -1
+			inner.Agents = make([]int, s.N)
+			*s = Snapshot[int]{Version: s.Version, Backend: Dense.String(), N: s.N,
+				RNG: s.RNG, QMax: 8, Inner: &inner, InnerRecheck: 5}
+		}, "re-check"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,7 +5,7 @@
 // accounting, and the byte-identity guarantee — a table-compiled rule run
 // with WithTable must produce the identical trajectory, snapshot bytes
 // and restored continuation as the same rule without it, on every
-// multiset backend and parallelism variant.
+// multiset backend.
 package pop
 
 import (
@@ -131,15 +131,11 @@ func TestCompiledRuleRandomizedDistribution(t *testing.T) {
 	}
 }
 
-// tableEngines builds the multiset-engine variants the bypass tests run
-// over: batched and dense, each with and without WithParallelism (which
-// only the dense engine honors).
+// tableEngines builds the multiset engines the bypass tests run over.
 func tableEngines(n int, init func(int, *rand.Rand) int, rule Rule[int], opts ...Option) map[string]Engine[int] {
 	return map[string]Engine[int]{
-		"batch":      NewBatch(n, init, rule, opts...),
-		"batch/par2": NewBatch(n, init, rule, append([]Option{WithParallelism(2)}, opts...)...),
-		"dense":      NewDense(n, init, rule, opts...),
-		"dense/par2": NewDense(n, init, rule, append([]Option{WithParallelism(2)}, opts...)...),
+		"batch": NewBatch(n, init, rule, opts...),
+		"dense": NewDense(n, init, rule, opts...),
 	}
 }
 
@@ -239,24 +235,10 @@ func TestTableByteIdentity(t *testing.T) {
 					func() Engine[int] { return NewBatch(1000, tc.init, rule, WithSeed(seed), c.Option()) },
 					func() Engine[int] { return NewBatch(1000, tc.init, amRule, WithSeed(seed)) },
 				},
-				"batch/par2": {
-					func() Engine[int] { return NewBatch(1000, tc.init, rule, WithSeed(seed), WithParallelism(2)) },
-					func() Engine[int] {
-						return NewBatch(1000, tc.init, rule, WithSeed(seed), WithParallelism(2), c.Option())
-					},
-					func() Engine[int] { return NewBatch(1000, tc.init, amRule, WithSeed(seed), WithParallelism(2)) },
-				},
 				"dense": {
 					func() Engine[int] { return NewDense(1000, tc.init, rule, WithSeed(seed)) },
 					func() Engine[int] { return NewDense(1000, tc.init, rule, WithSeed(seed), c.Option()) },
 					func() Engine[int] { return NewDense(1000, tc.init, amRule, WithSeed(seed)) },
-				},
-				"dense/par2": {
-					func() Engine[int] { return NewDense(1000, tc.init, rule, WithSeed(seed), WithParallelism(2)) },
-					func() Engine[int] {
-						return NewDense(1000, tc.init, rule, WithSeed(seed), WithParallelism(2), c.Option())
-					},
-					func() Engine[int] { return NewDense(1000, tc.init, amRule, WithSeed(seed), WithParallelism(2)) },
 				},
 			}
 			for name, v := range variants {

@@ -53,7 +53,8 @@ type Config struct {
 	Trials  int
 	Paper   bool
 	Backend pop.Backend
-	Par     int
+	// Par is accepted and ignored: every engine samples serially.
+	Par int
 	// CollectStats makes the runner record per-trial transition-resolution
 	// counters (pop.CacheStats) for StatsLines (cmd/popsim -stats).
 	CollectStats bool
@@ -63,7 +64,7 @@ type Config struct {
 
 // engineOpts assembles the common engine options for one trial.
 func (c Config) engineOpts(seed uint64) []pop.Option {
-	return []pop.Option{pop.WithSeed(seed), pop.WithBackend(c.Backend), pop.WithParallelism(c.Par)}
+	return []pop.Option{pop.WithSeed(seed), pop.WithBackend(c.Backend)}
 }
 
 // Fail reports a trial failure to the configured sink, if any. Trial

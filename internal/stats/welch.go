@@ -7,9 +7,9 @@ import (
 
 // The Welch-tolerance comparison shared by the statistical test suites
 // (cross-backend equivalence, churn removal marginals, hypergeometric
-// moment checks, splitter distribution checks). The engines consume
-// randomness differently per backend, so trajectories cannot be compared
-// run-by-run; instead the suites run many seeded trials per variant and
+// moment checks). The engines consume randomness differently per
+// backend, so trajectories cannot be compared run-by-run; instead the
+// suites run many seeded trials per variant and
 // require the metric means to agree within a few standard errors plus a
 // small absolute slack — loose enough for fixed seeds to pass
 // deterministically, tight enough to catch systematic bias. This package

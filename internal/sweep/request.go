@@ -10,9 +10,9 @@ import (
 
 // SpecRequest is the serializable form of a sweep submission: everything a
 // caller chooses about a run — which experiments, the size grid, trial
-// counts, engine backend, worker budget, intra-trial parallelism, and the
-// base seed — in one JSON-codable struct. It is the single source of truth
-// for those knobs' defaults and validation messages: the command-line
+// counts, engine backend, worker budget, and the base seed — in one
+// JSON-codable struct. It is the single source of truth for those knobs'
+// defaults and validation messages: the command-line
 // surface (Flags embeds it, binding -backend/-workers/-par/-seed straight
 // onto its fields) and the popsimd daemon's POST /v1/jobs body are the
 // same struct, so a job submitted over HTTP and a sweep launched from a
@@ -40,8 +40,9 @@ type SpecRequest struct {
 	// Workers bounds the sweep's worker pool; 0 means GOMAXPROCS (or, in
 	// the daemon, the shared pool size).
 	Workers int `json:"workers,omitempty"`
-	// Par is the intra-trial parallelism target (the -par semantics:
-	// 0 = auto, any value >= 1 forces the deterministic splitter path).
+	// Par is accepted and ignored (the -par flag's field): every engine
+	// samples serially. It stays so that older manifests and submissions
+	// naming it still decode under DisallowUnknownFields.
 	Par int `json:"par,omitempty"`
 	// Seed is the base random seed; per-trial seeds derive from it
 	// (default 1, matching the -seed flag).
@@ -114,7 +115,6 @@ func (r SpecRequest) Spec(points []Point) (Spec, error) {
 		BaseSeed: seed,
 		Backend:  be,
 		Workers:  r.Workers,
-		Par:      r.Par,
 	}, nil
 }
 
@@ -129,8 +129,13 @@ func DecodeSpecRequest(rd io.Reader) (SpecRequest, error) {
 	if err := dec.Decode(&req); err != nil {
 		return SpecRequest{}, fmt.Errorf("sweep: decoding spec request: %w", err)
 	}
-	// A second document in the body is almost certainly a client bug.
-	if dec.More() {
+	// A second document in the body is almost certainly a client bug. The
+	// body must be read to its end: a read error there (such as a size
+	// limit) is the request's error, not something to skip over.
+	if _, err := dec.Token(); err != io.EOF {
+		if err != nil {
+			return SpecRequest{}, fmt.Errorf("sweep: decoding spec request: %w", err)
+		}
 		return SpecRequest{}, fmt.Errorf("sweep: spec request body holds more than one JSON document")
 	}
 	req.SetDefaults()

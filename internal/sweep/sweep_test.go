@@ -229,49 +229,30 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := Run(other, Options{Done: done}); err == nil {
 		t.Error("auto-backend checkpoint accepted by a batch-backend sweep")
 	}
-	// A -par 0 checkpoint resumed by a -par >= 1 sweep (or vice versa)
-	// must be rejected wherever the dense engine can run (auto, dense):
-	// its legacy and splitter sampling paths take different trajectories
-	// for the same seed.
-	parred := testSpec(1)
-	parred.Par = 4
-	if _, err := Run(parred, Options{Done: done}); err == nil {
-		t.Error("-par 0 checkpoint accepted by a -par 4 sweep")
-	}
-	// seq and batch sweeps never read -par, so a mismatch there is
-	// accepted; dense refuses it like auto.
-	for _, b := range []pop.Backend{pop.Sequential, pop.Batched, pop.Dense} {
+	// Checkpoints written while records still carried the removed "par"
+	// field decode with it ignored and resume on every backend.
+	for _, b := range []pop.Backend{pop.Sequential, pop.Batched, pop.Dense, pop.Auto} {
 		src := testSpec(1)
 		src.Backend = b
-		res, err := Run(src, Options{})
-		if err != nil {
+		var out bytes.Buffer
+		if _, err := Run(src, Options{Out: &syncWriter{w: &out, mu: &mu}}); err != nil {
 			t.Fatal(err)
 		}
+		old := bytes.ReplaceAll(out.Bytes(), []byte(`"backend":`), []byte(`"par":2,"backend":`))
+		if !bytes.Contains(old, []byte(`"par":2`)) {
+			t.Fatal("test setup: no record carries a par field")
+		}
+		recs, err := ReadRecords(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("%v: checkpoint with a par field: %v", b, err)
+		}
 		doneB := map[Key]Record{}
-		for _, r := range res.Sorted() {
+		for _, r := range recs {
 			doneB[r.Key] = r
 		}
-		resumed := testSpec(1)
-		resumed.Backend, resumed.Par = b, 4
-		_, err = Run(resumed, Options{Done: doneB})
-		if refuse := b == pop.Dense; refuse != (err != nil) {
-			t.Errorf("%v: -par 0 checkpoint resumed at -par 4: err = %v, want refusal %v", b, err, refuse)
+		if _, err := Run(src, Options{Done: doneB}); err != nil {
+			t.Errorf("%v: checkpoint with a par field refused: %v", b, err)
 		}
-	}
-	// Within the splitter class the trajectory is worker-count
-	// independent, so two nonzero -par values are compatible.
-	src := testSpec(1)
-	src.Par = 2
-	res, err := Run(src, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done2 := map[Key]Record{}
-	for _, r := range res.Sorted() {
-		done2[r.Key] = r
-	}
-	if _, err := Run(parred, Options{Done: done2}); err != nil {
-		t.Errorf("-par 2 checkpoint rejected by a -par 4 sweep: %v", err)
 	}
 }
 

@@ -66,17 +66,10 @@
 // The default (pop.Auto) picks the batched engine for populations of at
 // least 4096 agents and the dense engine beyond ~8 million (2²³).
 // Multi-trial experiments parallelize across goroutines with
-// pop.RunTrials.
-//
-// A single trial also parallelizes: RunOptions.Parallelism (the
-// commands' -par flag) switches the dense engine's hot sampling paths
-// to a divide-and-conquer splitter that fans out across cores
-// while deriving all randomness from (seed, tree-node path) rather than
-// worker identity — any Parallelism >= 1 produces the byte-identical
-// trajectory, so parallel runs remain exactly reproducible. The default
-// (0) enables it with a GOMAXPROCS worker target above n = 2²⁴ and
-// keeps the legacy serial samplers below; trial-level and intra-trial
-// workers are jointly capped at GOMAXPROCS.
+// pop.RunTrials. A single trial runs on one core: every engine samples
+// on one serial path, as the batched algorithm of arXiv:2005.03584 is
+// specified (an intra-trial splitter was measured slower at every size
+// and removed; DESIGN.md §1.1).
 //
 // # Dynamic populations
 //
@@ -209,7 +202,7 @@ func WeakEstimate(n int, seed uint64) (k int, err error) {
 }
 
 // WeakEstimateBackend is WeakEstimate on an explicitly chosen simulation
-// backend; extra engine options (e.g. pop.WithParallelism) append.
+// backend; extra engine options (e.g. pop.WithTable) append.
 func WeakEstimateBackend(n int, seed uint64, backend pop.Backend, opts ...pop.Option) (k int, err error) {
 	s := approxsize.NewEngine(n, append([]pop.Option{pop.WithSeed(seed), pop.WithBackend(backend)}, opts...)...)
 	logN := math.Log2(float64(n))
